@@ -64,6 +64,12 @@ class MMSModel:
         workload's named pattern -- e.g. an
         :class:`~repro.workload.EmpiricalPattern` derived from a data
         distribution (:mod:`repro.workload.data_layout`).
+    visit_ratios:
+        Optional prebuilt :class:`~repro.workload.VisitRatios` to reuse.
+        They depend only on the machine, ``p_remote`` and the access
+        pattern, so a model that differs from another only in ``S``, ``L``,
+        ``R`` or ``n_t`` can share that model's build; the caller vouches
+        that they match.
 
     >>> from repro.params import paper_defaults
     >>> perf = MMSModel(paper_defaults()).solve()
@@ -71,10 +77,15 @@ class MMSModel:
     True
     """
 
-    def __init__(self, params: MMSParams, pattern=None):
+    def __init__(
+        self,
+        params: MMSParams,
+        pattern=None,
+        visit_ratios: VisitRatios | None = None,
+    ):
         self.params = params
         self._pattern = pattern
-        self._visits: VisitRatios | None = None
+        self._visits = visit_ratios
 
     # ------------------------------------------------------------ components
     @property
@@ -535,10 +546,26 @@ def solve_points(
         return perfs, batch
 
 
+def _models_sharing_visits(points: "Sequence[MMSParams]") -> list[MMSModel]:
+    """One model per point; points on one machine with the same ``p_remote``
+    and access pattern share a single visit-ratio build, so the ``n_t``
+    (and ``S``/``L``/``R``) axes of a lattice never rebuild them."""
+    shared: dict[tuple, VisitRatios] = {}
+    models = []
+    for params in points:
+        wl = params.workload
+        key = (params.arch.torus, wl.p_remote, pattern_for(wl).cache_key())
+        visits = shared.get(key)
+        if visits is None:
+            visits = shared[key] = visit_ratios_for(params)
+        models.append(MMSModel(params, visit_ratios=visits))
+    return models
+
+
 def _solve_points_impl(
     points: "Sequence[MMSParams]", method: str, tol: float, kernel: str | None
 ) -> tuple[list[MMSPerformance], "BatchTelemetry | None"]:
-    models = [MMSModel(p) for p in points]
+    models = _models_sharing_visits(points)
     if method == "auto":
         resolved = {"symmetric" if m.is_symmetric else "amva" for m in models}
         if len(resolved) > 1:

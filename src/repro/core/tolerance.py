@@ -103,14 +103,18 @@ def network_tolerance(
     actual:
         Optionally pass an already-solved performance to avoid re-solving.
     """
+    model = MMSModel(params)
     if ideal == "zero_delay":
-        ideal_params = params.with_(switch_delay=0.0)
+        # S does not enter the visit ratios: the ideal reuses the actual's
+        ideal_model = MMSModel(
+            params.with_(switch_delay=0.0), visit_ratios=model.visit_ratios
+        )
     elif ideal == "local_only":
-        ideal_params = params.with_(p_remote=0.0)
+        ideal_model = MMSModel(params.with_(p_remote=0.0))
     else:
         raise ValueError(f"unknown ideal-system definition {ideal!r}")
-    actual_perf = actual or MMSModel(params).solve(method=method)
-    ideal_perf = MMSModel(ideal_params).solve(method=method)
+    actual_perf = actual or model.solve(method=method)
+    ideal_perf = ideal_model.solve(method=method)
     return ToleranceResult(
         subsystem="network",
         ideal_method=ideal,
@@ -126,8 +130,12 @@ def memory_tolerance(
     actual: MMSPerformance | None = None,
 ) -> ToleranceResult:
     """``tol_memory``: ideal system has a zero-delay memory (``L = 0``)."""
-    actual_perf = actual or MMSModel(params).solve(method=method)
-    ideal_perf = MMSModel(params.with_(memory_latency=0.0)).solve(method=method)
+    model = MMSModel(params)
+    actual_perf = actual or model.solve(method=method)
+    # L does not enter the visit ratios: the ideal reuses the actual's
+    ideal_perf = MMSModel(
+        params.with_(memory_latency=0.0), visit_ratios=model.visit_ratios
+    ).solve(method=method)
     return ToleranceResult(
         subsystem="memory",
         ideal_method="zero_delay",

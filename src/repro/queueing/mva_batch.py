@@ -61,7 +61,7 @@ from .solution import (
     SolverTelemetry,
 )
 
-__all__ = ["solve_batch", "bard_schweitzer_batch", "solve_symmetric_batch"]
+__all__ = ["solve_batch", "solve_symmetric_batch"]
 
 
 def _nonconvergence(label: str, stragglers: int, residual: float, tol: float,
@@ -163,10 +163,6 @@ def solve_batch(
         )
         for i, net in enumerate(networks)
     ]
-
-
-#: explicit alias: the batched counterpart of the scalar ``bard_schweitzer``
-bard_schweitzer_batch = solve_batch
 
 
 def solve_symmetric_batch(

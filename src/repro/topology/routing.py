@@ -68,13 +68,14 @@ def path_length(topology, src: int, dst: int) -> int:
 def _inbound_counts_cached(kind: type, kx: int, ky: int) -> np.ndarray:
     topology = kind(kx, ky)
     p = topology.num_nodes
-    counts = np.zeros((p, p, p), dtype=np.int64)
+    counts = np.zeros((p, p, p))
     for s in range(p):
         for d in range(p):
             if s == d:
                 continue
             for n in route_nodes(topology, s, d):
                 counts[s, d, n] += 1
+    counts.setflags(write=False)
     return counts
 
 
@@ -84,6 +85,9 @@ def inbound_transit_counts(topology) -> np.ndarray:
     dimension-ordered routes).
 
     Cached per topology type and shape; this tensor is the kernel from which
-    all inbound switch visit ratios are contracted.
+    all inbound switch visit ratios are contracted, so it is kept as
+    ``float64`` (the counts are small integers, exact in a double).  Every
+    caller shares the one cached array, which is therefore read-only:
+    copy it before editing.
     """
     return _inbound_counts_cached(type(topology), topology.kx, topology.ky)

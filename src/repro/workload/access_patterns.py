@@ -17,6 +17,8 @@ draw from identical statistics.
 from __future__ import annotations
 
 import abc
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "EmpiricalPattern",
     "make_pattern",
     "pattern_for",
+    "shared_probability_matrix",
 ]
 
 
@@ -60,6 +63,17 @@ class AccessPattern(abc.ABC):
     @abc.abstractmethod
     def class_weights(self, h: np.ndarray) -> np.ndarray:
         """Unnormalized weight of each remote distance class ``h >= 1``."""
+
+    def cache_key(self) -> tuple | None:
+        """Hashable identity of this pattern's law, or ``None`` if it has none.
+
+        Two patterns with equal keys yield the same
+        :meth:`module_probability_matrix` on every topology, which is what
+        lets :func:`shared_probability_matrix` memoise it.  The key leads
+        with the concrete type, so a subclass never shares its parent's
+        entries.
+        """
+        return None
 
     def module_probability_matrix(self, topology) -> np.ndarray:
         """``(P, P)`` matrix ``q[i, j]``: probability a remote access from
@@ -124,6 +138,9 @@ class GeometricPattern(AccessPattern):
     def class_weights(self, h: np.ndarray) -> np.ndarray:
         return self.p_sw ** h
 
+    def cache_key(self) -> tuple:
+        return (type(self), self.p_sw)
+
     def distance_pmf(self, topology) -> np.ndarray:
         if isinstance(topology, Torus2D):
             # vertex-transitive: the closed form applies (and is faster)
@@ -155,6 +172,9 @@ class UniformPattern(AccessPattern):
         q = np.full((p, p), 1.0 / (p - 1))
         np.fill_diagonal(q, 0.0)
         return q
+
+    def cache_key(self) -> tuple:
+        return (type(self),)
 
     def distance_pmf(self, topology) -> np.ndarray:
         if isinstance(topology, Torus2D):
@@ -209,6 +229,12 @@ class HotspotPattern(AccessPattern):
         """Distance classes of the *base* pattern (the hot mass is handled
         in the matrix construction, not by distance)."""
         return self.base.class_weights(h)
+
+    def cache_key(self) -> tuple | None:
+        base = self.base.cache_key()
+        if base is None:
+            return None
+        return (type(self), self.hot_node, self.hot_fraction, base)
 
     def module_probability_matrix(self, torus: Torus2D) -> np.ndarray:
         if self.hot_node >= torus.num_nodes:
@@ -307,6 +333,41 @@ class EmpiricalPattern(AccessPattern):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EmpiricalPattern({self._q.shape[0]} nodes)"
+
+
+#: bound on :func:`shared_probability_matrix`'s memo (entries are at most
+#: ``P x P`` doubles: 32 KB at the paper's largest ``k = 8``)
+_MATRIX_CACHE_SIZE = 64
+_MATRIX_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_MATRIX_LOCK = threading.Lock()
+
+
+def shared_probability_matrix(pattern: AccessPattern, topology) -> np.ndarray:
+    """``pattern.module_probability_matrix(topology)``, memoised and shared.
+
+    Results are kept in a bounded LRU keyed by the pattern's
+    :meth:`~AccessPattern.cache_key` and the topology's type and shape, so
+    a sweep along ``p_remote`` or ``n_t`` builds the matrix once.  Every
+    caller gets the same array, which is therefore read-only.  A pattern
+    without a cache key (e.g. :class:`EmpiricalPattern`) is evaluated
+    afresh on each call.
+    """
+    pattern_key = pattern.cache_key()
+    if pattern_key is None:
+        return pattern.module_probability_matrix(topology)
+    key = (pattern_key, type(topology), topology.kx, topology.ky)
+    with _MATRIX_LOCK:
+        q = _MATRIX_CACHE.get(key)
+        if q is not None:
+            _MATRIX_CACHE.move_to_end(key)
+            return q
+    q = pattern.module_probability_matrix(topology)
+    q.setflags(write=False)
+    with _MATRIX_LOCK:
+        _MATRIX_CACHE[key] = q
+        if len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
+            _MATRIX_CACHE.popitem(last=False)
+    return q
 
 
 def make_pattern(

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..params import MMSParams
 from ..topology import Torus2D, inbound_transit_counts
-from .access_patterns import AccessPattern, pattern_for
+from .access_patterns import AccessPattern, pattern_for, shared_probability_matrix
 
 __all__ = ["VisitRatios", "build_visit_ratios"]
 
@@ -69,7 +69,8 @@ def build_visit_ratios(
 
     Fully vectorized: the inbound ratios contract the routed transit tensor
     ``c[s, d, n]`` with the remote-access matrix (requests use ``c[i, j, n]``,
-    responses ``c[j, i, n]``).
+    responses ``c[j, i, n]``).  Both inputs come from per-topology caches,
+    so only ``p_remote`` is applied afresh on each call.
     """
     if not 0.0 <= p_remote <= 1.0:
         raise ValueError(f"p_remote must be in [0, 1], got {p_remote}")
@@ -81,7 +82,7 @@ def build_visit_ratios(
         zeros = np.zeros((p, p))
         return VisitRatios(memory=em, inbound=zeros, outbound=zeros.copy())
 
-    q = pattern.module_probability_matrix(torus)  # (P, P), zero diagonal
+    q = shared_probability_matrix(pattern, torus)  # (P, P), zero diagonal
     em = p_remote * q
     np.fill_diagonal(em, 1.0 - p_remote)
 
@@ -90,7 +91,7 @@ def build_visit_ratios(
     eo = remote.copy()
     np.fill_diagonal(eo, p_remote)
 
-    c = inbound_transit_counts(torus).astype(np.float64)  # c[s, d, n]
+    c = inbound_transit_counts(torus)  # c[s, d, n], float64
     ei = np.einsum("ij,ijn->in", remote, c)  # request paths i -> j
     ei += np.einsum("ij,jin->in", remote, c)  # response paths j -> i
     return VisitRatios(memory=em, inbound=ei, outbound=eo)

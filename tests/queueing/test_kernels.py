@@ -108,6 +108,131 @@ class TestCompiledReferenceParity:
         assert not ref.converged.all()
 
 
+def _mixed_symmetric_soa() -> SymmetricSoA:
+    """Points converging at many different iterations, with n_t=0 rows.
+
+    The empty rows sit between live ones so the compact active set has to
+    map its rows back to scattered batch positions.
+    """
+    models = [
+        MMSModel(paper_defaults(num_threads=n, p_remote=p, runlength=r))
+        for n, p, r in (
+            (1, 0.05, 10.0), (20, 0.8, 10.0), (3, 0.3, 20.0), (8, 0.2, 10.0),
+            (1, 0.0, 20.0), (16, 0.6, 20.0), (2, 0.45, 10.0), (12, 0.1, 10.0),
+        )
+    ]
+    arrays = [m.station_arrays() for m in models]
+    pops = np.array([m.params.workload.num_threads for m in models])
+    pops[[2, 5]] = 0
+    return SymmetricSoA.pack(
+        visits=np.stack([a[0] for a in arrays]),
+        service=np.stack([a[1] for a in arrays]),
+        station_type=arrays[0][2],
+        populations=pops,
+        servers=np.stack([a[3] for a in arrays]),
+    )
+
+
+def _mixed_multiclass_soa() -> MulticlassSoA:
+    """Multi-class points of mixed n_t, one with no customers at all."""
+    networks = [
+        MMSModel(
+            paper_defaults(k=2, num_threads=n, p_remote=p, pattern=pattern)
+        ).build_network()
+        for n, p, pattern in (
+            (1, 0.1, "geometric"), (16, 0.7, "hotspot"), (4, 0.3, "uniform"),
+            (2, 0.0, "geometric"), (8, 0.5, "hotspot"),
+        )
+    ]
+    soa = MulticlassSoA.from_networks(networks)
+    pops = soa.populations.copy()
+    pops[3] = 0.0
+    return MulticlassSoA(
+        visits=soa.visits,
+        service=soa.service,
+        extra=soa.extra,
+        populations=pops,
+        queueing=soa.queueing,
+    )
+
+
+class TestCompactActiveSet:
+    """The reference kernels iterate compact active arrays, gathered only
+    when the set shrinks and written back only when points leave it.  Every
+    output must still equal the per-point compiled loops bit for bit."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, 30, MAX_ITER])
+    def test_symmetric_mixed_batch(self, max_iter):
+        soa = _mixed_symmetric_soa()
+        ref = reference.symmetric_fixed_point(soa, TOL, max_iter)
+        _assert_bitwise(ref, compiled.symmetric_fixed_point(soa, TOL, max_iter))
+        assert ref.converged[[2, 5]].all()
+        assert (ref.iterations[[2, 5]] == 0).all()
+        if max_iter == MAX_ITER:
+            assert ref.converged.all()
+            # the set shrank several times, not once at the end
+            assert len(set(ref.iterations[ref.iterations > 0].tolist())) >= 4
+        else:
+            assert not ref.converged.all()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, 30, MAX_ITER])
+    def test_multiclass_mixed_batch(self, max_iter):
+        soa = _mixed_multiclass_soa()
+        ref = reference.multiclass_fixed_point(soa, TOL, max_iter)
+        _assert_bitwise(ref, compiled.multiclass_fixed_point(soa, TOL, max_iter))
+        if max_iter == MAX_ITER:
+            assert ref.converged.all()
+            assert len(set(ref.iterations.tolist())) >= 3
+
+    def test_symmetric_points_alone_match_their_batch_rows(self):
+        soa = _mixed_symmetric_soa()
+        batch = reference.symmetric_fixed_point(soa, TOL, MAX_ITER)
+        for i in range(soa.batch):
+            p = soa.point(i)
+            alone = reference.symmetric_fixed_point(
+                SymmetricSoA(
+                    visits=p["visits"][None],
+                    service=p["service"][None],
+                    extra=p["extra"][None],
+                    populations=soa.populations[i : i + 1],
+                    popf=soa.popf[i : i + 1],
+                    station_type=soa.station_type,
+                    type_masks=soa.type_masks,
+                    type_index=soa.type_index,
+                ),
+                TOL,
+                MAX_ITER,
+            )
+            for name in ("q", "w", "x", "iterations", "residual", "converged"):
+                assert getattr(alone, name)[0].tobytes() == (
+                    getattr(batch, name)[i].tobytes()
+                ), name
+
+    def test_exhaustion_under_strict_false(self):
+        from repro.queueing import ConvergenceWarning, solve_symmetric_batch
+
+        soa = _mixed_symmetric_soa()
+        with pytest.warns(ConvergenceWarning, match="did not converge"):
+            sols = solve_symmetric_batch(
+                soa.visits, soa.service, soa.station_type,
+                soa.populations, max_iter=7, strict=False, kernel="numpy",
+            )
+        com = compiled.symmetric_fixed_point(
+            SymmetricSoA.pack(
+                soa.visits, soa.service, soa.station_type, soa.populations
+            ),
+            TOL,
+            7,
+        )
+        for i, sol in enumerate(sols):
+            assert sol.iterations == int(com.iterations[i])
+            assert sol.converged == bool(com.converged[i])
+            assert sol.residual == float(com.residual[i])
+            assert sol.queue_length.tobytes() == com.q[i].tobytes()
+            assert sol.waiting.tobytes() == com.w[i].tobytes()
+            assert sol.throughput == float(com.x[i])
+
+
 class TestTrajectory:
     def test_empty(self):
         assert trajectory_from_iterations(np.array([], dtype=np.int64)) == ()
