@@ -54,7 +54,7 @@ from .core import (
 )
 from .params import Architecture, MMSParams, Workload, paper_defaults
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

@@ -9,7 +9,7 @@ an axis.
 Sweeps execute through the :mod:`repro.runner` subsystem: points are
 deduplicated by content-addressed key, optionally served from a persistent
 result cache, and solved in parallel when a runner with ``jobs > 1`` is
-passed (or configured globally via :func:`repro.runner.configure` /
+passed (or configured globally via :func:`repro.configure` /
 ``REPRO_SWEEP_JOBS`` / ``REPRO_CACHE_DIR``).  The default remains serial,
 in-process execution, which is the right call for the tiny sweeps unit
 tests and interactive exploration produce.

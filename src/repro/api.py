@@ -386,10 +386,10 @@ def configure(
 ) -> dict[str, object]:
     """One config front door: runner, observability, and resilience knobs.
 
-    Composes the per-subsystem configuration that used to live behind
-    ``repro.runner.configure``, ``repro.obs.configure``, and
-    ``repro.resilience.configure`` (all now deprecated shims).  Only the
-    keywords actually passed change; everything else is untouched.
+    The one configuration entry point for the runner, observability and
+    resilience subsystems (the per-package ``configure`` shims were
+    removed in 2.0.0).  Only the keywords actually passed change;
+    everything else is untouched.
     Precedence per setting: environment variable < ``configure`` <
     explicit argument at a call site.
 

@@ -204,9 +204,8 @@ def linearizer(
         if moved <= tol:
             break
 
-    # Final consistent measures from the converged queues.
-    w = _bs_waiting(s, queueing, q_full, pops)
-    # Recompute waiting via the linearizer's own arrival estimate for accuracy.
+    # Final consistent measures: waiting via the linearizer's own arrival
+    # estimate at the converged queues.
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(pops[:, None] > 0, q_full / pops[:, None], 0.0)
     seen = np.empty((c, m))

@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass
 __all__ = ["Degradation", "DegradationPolicy", "DEGRADATION_CHAIN"]
 
 #: the only legal direction of travel: earlier entries degrade to later ones.
-#: ``shm`` is the pooled shared-memory group handoff of the process backend;
-#: a group whose worker dies falls back to the in-parent batched kernel.
-DEGRADATION_CHAIN = ("shm", "batch", "process", "serial")
+#: ``pool`` is the process backend's pooled batch groups; a chunk whose
+#: worker dies falls back to the in-parent batched kernel.
+DEGRADATION_CHAIN = ("pool", "batch", "process", "serial")
 
 
 @dataclass(frozen=True)

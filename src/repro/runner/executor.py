@@ -13,6 +13,8 @@ Execution pipeline for one :meth:`SweepRunner.run`:
      per-point loop.  Symmetric points come back bitwise-identical to a
      scalar solve, so swapping backends never disturbs cached records.
    * ``process`` -- a ``ProcessPoolExecutor`` with per-point timeout.
+     Batchable groups of at least :data:`POOLED_GROUP_MIN_POINTS` points
+     are cut into one chunk per worker and solved batched in the pool.
      Worker exceptions are retried (bounded); a broken pool (worker died)
      degrades gracefully to serial execution of whatever is left.
    * ``serial`` -- the per-point in-process loop (tiny sweeps, where any
@@ -45,10 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from ..core.metrics import MMSPerformance
-from ..core.model import MMSModel
 from ..obs import Tracer, diff_snapshots, get_tracer
 from ..obs import registry as obs_registry
 from ..obs import trace_span
@@ -56,7 +55,6 @@ from ..obs.timeseries import get_recorder
 from ..obs.trace import configure
 from ..params import MMSParams
 from ..queueing.kernels import resolve_kernel
-from ..queueing.kernels.shm import SharedArrays, attach_arrays, write_arrays
 from ..resilience.degrade import DegradationPolicy
 from ..resilience.faults import fault_point
 from ..resilience.integrity import finite_measures
@@ -70,9 +68,9 @@ __all__ = [
     "SweepRunner",
     "RunReport",
     "solve_job",
-    "solve_group_shm",
+    "solve_group",
     "BACKENDS",
-    "BATCHABLE_METHODS",
+    "POOLED_GROUP_MIN_POINTS",
 ]
 
 #: a worker callable: JSON payload in, ``{"perf": dict, "elapsed": s}`` out
@@ -82,10 +80,24 @@ Progress = Callable[[int, int, RunResult], None]
 
 #: recognised execution backends
 BACKENDS = ("auto", "batch", "process", "serial")
-#: solver methods the batched kernel accepts; others always run per-point
-BATCHABLE_METHODS = ("symmetric", "amva")
+#: smallest batchable group the process backend ships to its workers as
+#: batched chunks; smaller groups are dispatched one point at a time
+POOLED_GROUP_MIN_POINTS = 1024
 #: poll interval while a pooled point waits for a worker slot
 _POLL_S = 0.05
+
+
+def _pool_faults() -> None:
+    """The ``worker.crash`` / ``worker.hang`` chaos sites.
+
+    Only work dispatched to a pool process calls this, so the parent's
+    in-process fallbacks can never kill themselves.
+    """
+    if fault_point("worker.crash") is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    spec = fault_point("worker.hang")
+    if spec is not None:
+        time.sleep(float(spec.args.get("sleep_s", 30.0)))
 
 
 def solve_job(payload: Mapping[str, object]) -> dict[str, object]:
@@ -101,13 +113,8 @@ def solve_job(payload: Mapping[str, object]) -> dict[str, object]:
     never touch the trace file.
     """
     if payload.get("pooled"):
-        # chaos sites for pool workers only: the executor marks dispatched
-        # payloads, so the parent's serial fallback can never kill itself
-        if fault_point("worker.crash") is not None:
-            os.kill(os.getpid(), signal.SIGKILL)
-        spec = fault_point("worker.hang")
-        if spec is not None:
-            time.sleep(float(spec.args.get("sleep_s", 30.0)))
+        # the executor marks dispatched payloads
+        _pool_faults()
     spec = fault_point("solve.delay")
     if spec is not None:
         time.sleep(float(spec.args.get("sleep_s", 0.05)))
@@ -135,54 +142,82 @@ def solve_job(payload: Mapping[str, object]) -> dict[str, object]:
     return {"perf": perf.to_dict(), "elapsed": time.perf_counter() - t0}
 
 
-def solve_group_shm(payload: Mapping[str, object]) -> dict[str, object]:
-    """Pool worker for one shared-memory batched group.
+def solve_group(job: Mapping[str, object]) -> dict[str, object]:
+    """Pool worker for one chunk of a batchable group.
 
-    The packed station arrays arrive as a :class:`SharedArrays` descriptor
-    (``payload["shm"]``) instead of pickled bytes; the solved arrays travel
-    back through pre-created result segments (``payload["out"]``), so the
-    only pickled traffic either direction is the small name/shape/dtype
-    metadata -- a figure-scale group costs the pool two byte copies, not
-    two serializations.  Runs the same ``solve_symmetric_batch`` every
-    other backend uses, so results are bitwise-identical to an in-process
-    batched solve.
+    ``job`` holds the group's scenario, canonical method and kernel plus
+    the chunk's ``params`` dicts -- small JSON-like payloads, never packed
+    arrays.  The chunk is solved by the scenario's own ``solve_points``,
+    the same call the in-process batch backend makes, and a point's result
+    does not depend on the batch it rides in, so the records are bitwise
+    those of the batch backend.  Tracing is off while it solves; the parent
+    re-emits the ``solver.batch`` span and counters from the returned
+    telemetry.
     """
-    if payload.get("pooled"):
-        if fault_point("worker.crash") is not None:
-            os.kill(os.getpid(), signal.SIGKILL)
-        spec = fault_point("worker.hang")
-        if spec is not None:
-            time.sleep(float(spec.args.get("sleep_s", 30.0)))
-    from ..queueing.mva_batch import solve_symmetric_batch
-
+    _pool_faults()
+    scenario = payload_scenario(job)
     t0 = time.perf_counter()
-    arrays = attach_arrays(payload["shm"])
-    sols = solve_symmetric_batch(
-        arrays["visits"],
-        arrays["service"],
-        arrays["station_type"],
-        arrays["populations"],
-        tol=float(payload.get("tol", 1e-12)),
-        servers=arrays["servers"],
-        kernel=payload.get("kernel"),
-    )
-    batch = sols[0].telemetry.batch if sols and sols[0].telemetry else None
-    write_arrays(
-        payload["out"],
-        {
-            "throughput": np.array([s.throughput for s in sols]),
-            "waiting": np.stack([s.waiting for s in sols]),
-            "queue": np.stack([s.queue_length for s in sols]),
-            "total_queue": np.stack([s.total_queue for s in sols]),
-            "iterations": np.array([s.iterations for s in sols], dtype=np.int64),
-            "converged": np.array([s.converged for s in sols], dtype=bool),
-            "residual": np.array([s.residual for s in sols]),
-        },
-    )
+    prev = configure(trace=False)
+    try:
+        perfs, telemetry = scenario.solve_points(
+            [scenario.params_from_dict(p) for p in job["params"]],
+            method=job["method"],
+            kernel=job["kernel"],
+        )
+    finally:
+        configure(**prev)
     return {
-        "batch": None if batch is None else batch.to_dict(),
+        "perfs": [perf.to_dict() for perf in perfs],
+        "telemetry": None if telemetry is None else telemetry.to_dict(),
         "elapsed": time.perf_counter() - t0,
     }
+
+
+def _batch_groups(
+    pending: list[Mapping[str, object]], min_points: int
+) -> tuple[list[tuple], list[Mapping[str, object]]]:
+    """Split *pending* into batchable groups and per-point leftovers.
+
+    Points group by ``(scenario, canonical method, scenario.group_key)``,
+    the homogeneity a scenario's ``solve_points`` requires (for the torus:
+    one machine size).  A group batches when its key is not ``None``, its
+    method is one of the scenario's ``batchable_methods`` and it has at
+    least *min_points* points.  Returns ``[(scenario, method, payloads,
+    params)]`` for those and the rest in first-seen group order.
+    """
+    groups: dict[tuple, tuple[list, list]] = {}
+    for payload in pending:
+        scenario = payload_scenario(payload)
+        params = scenario.params_from_dict(payload["params"])
+        key = (scenario.name, payload["method"], scenario.group_key(params))
+        payloads, points = groups.setdefault(key, ([], []))
+        payloads.append(payload)
+        points.append(params)
+    batched: list[tuple] = []
+    rest: list[Mapping[str, object]] = []
+    for (_name, method, group_key), (payloads, points) in groups.items():
+        scenario = payload_scenario(payloads[0])
+        if (
+            group_key is None
+            or method not in scenario.batchable_methods
+            or len(payloads) < min_points
+        ):
+            rest.extend(payloads)
+        else:
+            batched.append((scenario, method, payloads, points))
+    return batched, rest
+
+
+def _chunks(group: list, n: int) -> list[list]:
+    """*group* cut into at most *n* contiguous chunks of near-equal size."""
+    n = min(n, len(group))
+    size, extra = divmod(len(group), n)
+    chunks, start = [], 0
+    for i in range(n):
+        stop = start + size + (1 if i < extra else 0)
+        chunks.append(group[start:stop])
+        start = stop
+    return chunks
 
 
 class _PoolWatch:
@@ -307,12 +342,6 @@ class SweepRunner:
         ``"numba"``); ``None`` (default) honours :func:`repro.configure`
         and ``REPRO_SOLVE_KERNEL``.  Validated eagerly, so an explicit but
         unavailable kernel fails at construction, not mid-sweep.
-    min_shm_points:
-        Smallest symmetric same-shape group the process backend ships to a
-        pool worker as one shared-memory batched solve (zero-pickle array
-        handoff, see :mod:`repro.queueing.kernels.shm`); smaller groups are
-        dispatched per point.  Only applies when no per-point ``timeout``
-        is set -- a batched group cannot be preempted point by point.
     journal:
         Path of a sweep progress journal.  When given, every completed
         point is durably appended (one flushed line each) so an
@@ -339,7 +368,6 @@ class SweepRunner:
         journal: str | os.PathLike | None = None,
         resume: bool = False,
         kernel: str | None = None,
-        min_shm_points: int = 1024,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -351,8 +379,6 @@ class SweepRunner:
             )
         if min_batch_points < 2:
             raise ValueError(f"min_batch_points must be >= 2, got {min_batch_points}")
-        if min_shm_points < 2:
-            raise ValueError(f"min_shm_points must be >= 2, got {min_shm_points}")
         if kernel is not None:
             # fail fast: an unknown name or an explicitly requested but
             # unavailable kernel should surface here, not mid-sweep
@@ -370,7 +396,6 @@ class SweepRunner:
         self.journal = journal
         self.resume = resume
         self.kernel = kernel
-        self.min_shm_points = min_shm_points
 
     # ------------------------------------------------------------ public API
     def solve(self, params: MMSParams, method: str = "auto") -> MMSPerformance:
@@ -677,42 +702,22 @@ class SweepRunner:
     ) -> str:
         """Batched in-process execution; returns the mode the run ended in.
 
-        Pending points are grouped by ``(scenario, method, group key)`` --
-        the homogeneity the scenario's batched solve requires (for the
-        torus: one machine size, per :func:`~repro.core.model.solve_points`)
-        -- and each group large enough is solved as one stacked fixed
-        point.  Leftovers (small groups, unbatchable methods, scenarios
-        without a batch path) run per-point; a group whose batch solve
-        raised or produced non-finite measures is a recorded batch->serial
-        degradation and also runs per-point.  The mode is ``"batch"`` only
-        if at least one group actually batched.
+        Pending points are grouped by :func:`_batch_groups` and each group
+        large enough is solved as one stacked fixed point.  Leftovers
+        (small groups, unbatchable methods, scenarios without a batch path)
+        run per-point; a group whose batch solve raised or produced
+        non-finite measures is a recorded batch->serial degradation and
+        also runs per-point.  The mode is ``"batch"`` only if at least one
+        group actually batched.
         """
         total = done + len(pending)
-        groups: dict[tuple, list[Mapping[str, object]]] = {}
-        for payload in pending:
-            scenario = payload_scenario(payload)
-            params = scenario.params_from_dict(payload["params"])
-            groups.setdefault(
-                (scenario.name, payload["method"], scenario.group_key(params)), []
-            ).append(payload)
-
+        groups, serial_left = _batch_groups(pending, self.min_batch_points)
         batched_any = False
-        serial_left: list[Mapping[str, object]] = []
-        for (scenario_name, method, group_key), group in groups.items():
-            scenario = payload_scenario(group[0])
-            if (
-                group_key is None
-                or method not in scenario.batchable_methods
-                or len(group) < self.min_batch_points
-            ):
-                serial_left.extend(group)
-                continue
+        for scenario, method, group, points in groups:
             t0 = time.perf_counter()
             try:
                 perfs, telemetry = scenario.solve_points(
-                    [scenario.params_from_dict(p["params"]) for p in group],
-                    method=method,
-                    kernel=self.kernel,
+                    points, method=method, kernel=self.kernel
                 )
             except Exception as exc:  # noqa: BLE001 - degrade to the per-point loop
                 policy.degrade(
@@ -720,7 +725,8 @@ class SweepRunner:
                 )
                 serial_left.extend(group)
                 continue
-            if not all(finite_measures(perf.to_dict()) for perf in perfs):
+            records = [perf.to_dict() for perf in perfs]
+            if not all(finite_measures(rec) for rec in records):
                 policy.degrade(
                     "batch",
                     "serial",
@@ -732,29 +738,50 @@ class SweepRunner:
             batched_any = True
             # The true batch span is recorded once: `solve_points` emits the
             # solver.batch trace span and the telemetry below carries the
-            # batch wall time.  Each point still gets an even `share` so the
-            # manifest's point-latency distribution counts every point, but
-            # the results are flagged amortized so time-attribution (the
-            # `report` command) never re-sums shares on top of the batch.
+            # batch wall time.
             share = (time.perf_counter() - t0) / len(group)
-            for payload, perf in zip(group, perfs):
-                result = self._from_record(
-                    payload,
-                    {"perf": perf.to_dict(), "elapsed": share, "amortized": True},
-                    from_cache=False,
-                )
-                stats.latencies.append(result.elapsed)
-                stats.amortized += 1
-                resolved[payload["key"]] = result
-                done += 1
-                if progress is not None:
-                    progress(done, total, result)
+            done = self._resolve_amortized(
+                group, records, share, resolved, stats, progress, done, total
+            )
             if telemetry is not None:
                 solver_batches.append({"method": method, **telemetry.to_dict()})
 
         if serial_left:
             self._run_serial_counted(serial_left, resolved, stats, progress, done, total)
         return "batch" if batched_any else "serial"
+
+    def _resolve_amortized(
+        self,
+        group: list[Mapping[str, object]],
+        records: list[dict[str, object]],
+        share: float,
+        resolved: dict[str, RunResult],
+        stats: _RunStats,
+        progress: Progress | None,
+        done: int,
+        total: int,
+    ) -> int:
+        """Resolve one batched group's points from their perf records.
+
+        Each point gets an even ``share`` of the batch wall time so the
+        manifest's point-latency distribution counts every point, but the
+        results are flagged amortized so time attribution (the ``report``
+        command) never re-sums shares on top of the batch.  Returns the
+        updated done count.
+        """
+        for payload, perf in zip(group, records):
+            result = self._from_record(
+                payload,
+                {"perf": perf, "elapsed": share, "amortized": True},
+                from_cache=False,
+            )
+            stats.latencies.append(result.elapsed)
+            stats.amortized += 1
+            resolved[payload["key"]] = result
+            done += 1
+            if progress is not None:
+                progress(done, total, result)
+        return done
 
     def _pooled_result(
         self,
@@ -796,158 +823,14 @@ class SweepRunner:
                 if time.monotonic() - watch.progress_t >= self.timeout:
                     raise
 
-    def _shm_partition(
-        self, pending: list[Mapping[str, object]]
-    ) -> tuple[list[list[tuple[Mapping[str, object], MMSModel]]], list[Mapping[str, object]]]:
-        """Split *pending* into shm-batchable symmetric groups and the rest.
-
-        A group qualifies for the shared-memory batched handoff when the
-        default worker is in play (batching is a property of the default
-        solver), no per-point timeout is set (a stacked solve cannot be
-        preempted point by point), every point resolves to the symmetric
-        method on one machine size, and the group reaches
-        ``min_shm_points``.
-        """
-        if self.worker is not solve_job or self.timeout is not None:
-            return [], list(pending)
-        groups: dict[int, list[tuple[Mapping[str, object], MMSModel]]] = {}
-        rest: list[Mapping[str, object]] = []
-        for payload in pending:
-            if payload.get("scenario") is not None:
-                # the shm pack is torus-specific; non-default scenarios
-                # take the per-point (or in-process batch) path
-                rest.append(payload)
-                continue
-            if payload["method"] not in ("auto", "symmetric"):
-                rest.append(payload)
-                continue
-            model = MMSModel(MMSParams.from_dict(payload["params"]))
-            if not model.is_symmetric:
-                rest.append(payload)
-                continue
-            groups.setdefault(model.params.arch.num_processors, []).append(
-                (payload, model)
-            )
-        eligible = []
-        for _size, group in groups.items():
-            if len(group) >= self.min_shm_points:
-                eligible.append(group)
-            else:
-                rest.extend(p for p, _m in group)
-        return eligible, rest
-
-    def _submit_shm_group(self, pool: ProcessPoolExecutor, group) -> tuple:
-        """Pack one symmetric group into shared memory and submit it.
-
-        Both the packed station arrays and the (pre-created) result
-        segments are owned by this process; the worker only ever attaches.
-        On any failure the segments are unlinked before re-raising, so a
-        broken submission never leaks shared memory.
-        """
-        arrays = [m.station_arrays() for _, m in group]
-        visits = np.stack([a[0] for a in arrays])
-        b, m = visits.shape
-        inputs = SharedArrays(
-            {
-                "visits": visits,
-                "service": np.stack([a[1] for a in arrays]),
-                "servers": np.stack([a[3] for a in arrays]),
-                "populations": np.array(
-                    [mod.params.workload.num_threads for _, mod in group]
-                ),
-                "station_type": arrays[0][2],
-            }
-        )
-        try:
-            outs = SharedArrays(
-                {
-                    "throughput": np.zeros(b),
-                    "waiting": np.zeros((b, m)),
-                    "queue": np.zeros((b, m)),
-                    "total_queue": np.zeros((b, m)),
-                    "iterations": np.zeros(b, dtype=np.int64),
-                    "converged": np.zeros(b, dtype=bool),
-                    "residual": np.zeros(b),
-                }
-            )
-        except Exception:
-            inputs.unlink()
-            raise
-        try:
-            future = pool.submit(
-                solve_group_shm,
-                {
-                    "shm": inputs.meta,
-                    "out": outs.meta,
-                    "tol": 1e-12,
-                    "kernel": self.kernel,
-                    "pooled": True,
-                },
-            )
-        except Exception:
-            inputs.unlink()
-            outs.unlink()
-            raise
-        return group, arrays, inputs, outs, future
-
-    def _collect_shm_group(
-        self,
-        group,
-        arrays,
-        outs: SharedArrays,
-        future,
-        resolved: dict[str, RunResult],
-        stats: _RunStats,
-        progress: Progress | None,
-        done: int,
-        total: int,
-        solver_batches: list[dict[str, object]],
-    ) -> int:
-        """Turn one finished shm group into per-point results; returns the
-        updated done count.  Raises (for the caller to degrade the whole
-        group) if the worker failed or produced non-finite measures."""
-        out = future.result()
-        res = attach_arrays(outs.meta)
-        share = float(out["elapsed"]) / len(group)
-        results = []
-        for i, ((payload, model), arr) in enumerate(zip(group, arrays)):
-            perf = model._measures(
-                arr[0],
-                res["waiting"][i],
-                res["queue"][i],
-                res["total_queue"][i],
-                float(res["throughput"][i]),
-                "symmetric",
-                int(res["iterations"][i]),
-                bool(res["converged"][i]),
-                residual=float(res["residual"][i]),
-            )
-            rec = {"perf": perf.to_dict(), "elapsed": share, "amortized": True}
-            if not finite_measures(rec["perf"]):
-                raise RuntimeError("non-finite measures in shared-memory batch")
-            results.append((payload, rec))
-        batch = out.get("batch")
-        if batch is not None:
-            solver_batches.append({"method": "symmetric", "handoff": "shm", **batch})
-            self._record_shm_batch_obs(batch)
-        for payload, rec in results:
-            result = self._from_record(payload, rec, from_cache=False)
-            stats.latencies.append(result.elapsed)
-            stats.amortized += 1
-            resolved[payload["key"]] = result
-            done += 1
-            if progress is not None:
-                progress(done, total, result)
-        return done
-
     @staticmethod
-    def _record_shm_batch_obs(batch: Mapping[str, object]) -> None:
+    def _record_pooled_batch_obs(method: str, batch: Mapping[str, object]) -> None:
         """Fold a worker-side batched solve into this process's telemetry.
 
         The worker solved in its own process, so the usual ``solver.batch``
         span and ``solver.batch.*`` counters landed in a registry that died
         with it; re-emit them here from the returned batch telemetry so
-        shm-handoff runs mean the same thing in traces and metrics as
+        pooled groups mean the same thing in traces and metrics as
         in-process batched ones.
         """
         from ..core.model import _record_batch_obs
@@ -963,18 +846,18 @@ class SweepRunner:
             kernel=str(batch["kernel"]),
         )
         with trace_span("solver.batch", points=telemetry.batch_size) as sp:
-            _record_batch_obs(sp, "symmetric", telemetry)
+            _record_batch_obs(sp, method, telemetry)
 
     @staticmethod
-    def _degrade_shm_group(
+    def _degrade_chunk(
         policy: DegradationPolicy,
-        group,
-        reason: str,
-        shm_failed: list[Mapping[str, object]],
+        chunk: list[Mapping[str, object]],
+        exc: Exception,
+        failed: list[Mapping[str, object]],
     ) -> None:
-        """Record one shm group's shm->batch degradation."""
-        policy.degrade("shm", "batch", reason, len(group))
-        shm_failed.extend(p for p, _m in group)
+        """Record one pooled chunk's pool->batch degradation."""
+        policy.degrade("pool", "batch", f"{type(exc).__name__}: {exc}", len(chunk))
+        failed.extend(chunk)
 
     def _run_parallel(
         self,
@@ -988,13 +871,15 @@ class SweepRunner:
     ) -> str:
         """Pool execution; returns the mode the run ended in.
 
-        Figure-scale symmetric groups (``min_shm_points`` or more points of
-        one machine size) are shipped to a pool worker as a single batched
-        solve over shared memory -- zero pickled arrays either direction --
-        and unpacked into the same per-point results the batch backend
-        produces.  A group whose worker failed degrades (recorded) to the
-        in-process batch path, not to per-point serial.  Everything else is
-        dispatched per point exactly as before.
+        Batchable groups (see :func:`_batch_groups`) of at least
+        :data:`POOLED_GROUP_MIN_POINTS` points are cut into ``jobs``
+        contiguous chunks, and each chunk's parameter payloads go to one
+        worker as a batched solve (:func:`solve_group`); the returned
+        records are the ones the batch backend produces.  A chunk whose
+        worker failed degrades (recorded) to the in-process batch path,
+        not to per-point serial.  Pooled groups need the default worker
+        and no per-point ``timeout`` (a batched chunk cannot be preempted
+        point by point).  Everything else is dispatched per point.
 
         The per-point timeout budgets *execution*, not queue wait: each
         future's clock arms when it is first observed running, so a long
@@ -1014,25 +899,32 @@ class SweepRunner:
         # worker.* fault sites to pool processes.
         tracer = get_tracer()
         ctx = tracer.context() if tracer is not None else None
-        shm_groups, perpoint = self._shm_partition(pending)
+        if self.worker is solve_job and self.timeout is None:
+            groups, perpoint = _batch_groups(pending, POOLED_GROUP_MIN_POINTS)
+        else:
+            groups, perpoint = [], list(pending)
         pool = ProcessPoolExecutor(max_workers=self.jobs)
         pool_error: str | None = None
         hung = False
         #: arms execution deadlines as points start; shared stall guard
         watch = _PoolWatch()
-        shm_jobs: list[tuple] = []
-        shm_failed: list[Mapping[str, object]] = []
+        chunk_jobs: list[tuple] = []
+        pool_failed: list[Mapping[str, object]] = []
         try:
-            for group in shm_groups:
-                try:
-                    shm_jobs.append(self._submit_shm_group(pool, group))
-                except BrokenProcessPool as exc:
-                    pool_error = f"{type(exc).__name__}: {exc}"
-                    self._degrade_shm_group(policy, group, pool_error, shm_failed)
-                except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                    self._degrade_shm_group(
-                        policy, group, f"{type(exc).__name__}: {exc}", shm_failed
-                    )
+            for scenario, method, group, _points in groups:
+                for chunk in _chunks(group, self.jobs):
+                    job = {
+                        "scenario": scenario.name,
+                        "method": method,
+                        "kernel": self.kernel,
+                        "params": [p["params"] for p in chunk],
+                    }
+                    try:
+                        future = pool.submit(solve_group, job)
+                    except BrokenProcessPool as exc:
+                        self._degrade_chunk(policy, chunk, exc, pool_failed)
+                        continue
+                    chunk_jobs.append((method, chunk, future))
             try:
                 futures = []
                 for p in perpoint:
@@ -1043,30 +935,29 @@ class SweepRunner:
             except BrokenProcessPool as exc:
                 pool_error = f"{type(exc).__name__}: {exc}"
                 futures = []
-            for group, arrays, inputs, outs, future in shm_jobs:
+            for method, chunk, future in chunk_jobs:
                 try:
-                    done = self._collect_shm_group(
-                        group,
-                        arrays,
-                        outs,
-                        future,
-                        resolved,
-                        stats,
-                        progress,
-                        done,
-                        total,
-                        solver_batches,
-                    )
-                except BrokenProcessPool as exc:
-                    pool_error = f"{type(exc).__name__}: {exc}"
-                    self._degrade_shm_group(policy, group, pool_error, shm_failed)
+                    out = future.result()
+                    if not all(finite_measures(rec) for rec in out["perfs"]):
+                        raise RuntimeError("non-finite measures in pooled batch")
                 except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                    self._degrade_shm_group(
-                        policy, group, f"{type(exc).__name__}: {exc}", shm_failed
+                    self._degrade_chunk(policy, chunk, exc, pool_failed)
+                    continue
+                if out["telemetry"] is not None:
+                    solver_batches.append(
+                        {"method": method, "handoff": "pool", **out["telemetry"]}
                     )
-                finally:
-                    inputs.unlink()
-                    outs.unlink()
+                    self._record_pooled_batch_obs(method, out["telemetry"])
+                done = self._resolve_amortized(
+                    chunk,
+                    out["perfs"],
+                    float(out["elapsed"]) / len(chunk),
+                    resolved,
+                    stats,
+                    progress,
+                    done,
+                    total,
+                )
             for payload, future in futures:
                 key = payload["key"]
                 try:
@@ -1118,13 +1009,13 @@ class SweepRunner:
                     if proc.is_alive():
                         proc.terminate()
 
-        if shm_failed:
-            # a failed shared-memory group still gets its stacked solve --
-            # in-process, through the batch backend (degradation recorded
-            # above); only a second failure there drops it to per-point
+        if pool_failed:
+            # a failed pooled chunk still gets its stacked solve -- in-process,
+            # through the batch backend (degradation recorded above); only a
+            # second failure there drops it to per-point
             unresolved = sum(1 for p in pending if p["key"] not in resolved)
             self._run_batch(
-                shm_failed,
+                pool_failed,
                 resolved,
                 stats,
                 progress,

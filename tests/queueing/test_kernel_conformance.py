@@ -1,8 +1,8 @@
 """Cross-backend x cross-kernel conformance: one lattice, one answer.
 
 The repo's numeric contract says the *execution plan* must never leak into
-the *data*: any sweep backend (in-process batch, process pool, shared-memory
-group handoff, per-point serial) combined with any solver kernel (the numpy
+the *data*: any sweep backend (in-process batch, process pool, pooled
+batch groups, per-point serial) combined with any solver kernel (the numpy
 reference or the numba-compiled one) must produce bitwise-identical records
 for the same points.  This suite pins that contract on the real Figure-4
 lattice (the 11 x 16 = 176-point ``(n_t, p_remote)`` grid of the paper) and
@@ -27,7 +27,7 @@ import repro
 from repro.analysis import experiments
 from repro.params import paper_defaults
 from repro.queueing.kernels import available_kernels
-from repro.runner import JobSpec, SweepRunner, canonical_json
+from repro.runner import JobSpec, SweepRunner, canonical_json, executor
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
 
@@ -43,12 +43,21 @@ RUNNERS = {
     "process": lambda kernel: SweepRunner(
         backend="process", jobs=2, kernel=kernel
     ),
-    # same pool, but the whole lattice rides to one worker through the
-    # zero-pickle shared-memory group handoff
-    "process-shm": lambda kernel: SweepRunner(
-        backend="process", jobs=2, kernel=kernel, min_shm_points=8
+    # same pool, but the lattice rides to the workers as pooled batch
+    # groups (see POOLED_CELLS)
+    "process-pool": lambda kernel: SweepRunner(
+        backend="process", jobs=2, kernel=kernel
     ),
 }
+
+#: cells run with the pooled-group threshold lowered to the lattice's size
+POOLED_CELLS = {"process-pool"}
+
+
+def _run_cell(backend: str, kernel: str, monkeypatch):
+    if backend in POOLED_CELLS:
+        monkeypatch.setattr(executor, "POOLED_GROUP_MIN_POINTS", 8)
+    return RUNNERS[backend](kernel).run(_lattice_specs())
 
 
 def _kernel_param(kernel: str):
@@ -89,17 +98,17 @@ class TestLatticeMatrix:
     @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
     @pytest.mark.parametrize("backend", sorted(RUNNERS))
     def test_cell_bitwise_matches_reference(
-        self, backend, kernel, reference_records
+        self, backend, kernel, reference_records, monkeypatch
     ):
-        report = RUNNERS[backend](kernel).run(_lattice_specs())
+        report = _run_cell(backend, kernel, monkeypatch)
         assert _canonical_records(report) == reference_records
 
-    def test_shm_cell_actually_used_the_shm_handoff(self):
-        report = RUNNERS["process-shm"]("numpy").run(_lattice_specs())
+    def test_pool_cell_actually_used_pooled_groups(self, monkeypatch):
+        report = _run_cell("process-pool", "numpy", monkeypatch)
         assert report.manifest.mode == "parallel"
         assert report.manifest.degradations == []
         handoffs = [b.get("handoff") for b in report.manifest.solver_batches]
-        assert "shm" in handoffs
+        assert "pool" in handoffs
 
     def test_batch_cell_actually_batched(self):
         report = RUNNERS["batch"]("numpy").run(_lattice_specs())

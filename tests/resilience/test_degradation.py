@@ -19,7 +19,7 @@ def _specs(n=6):
 
 class TestPolicy:
     def test_chain_order(self):
-        assert DEGRADATION_CHAIN == ("shm", "batch", "process", "serial")
+        assert DEGRADATION_CHAIN == ("pool", "batch", "process", "serial")
 
     def test_records_structured_entries(self):
         policy = DegradationPolicy()

@@ -2,8 +2,8 @@
 
 The kernel selection surface is documented in three places -- the
 ``repro.configure`` table in docs/API.md, the backend/kernel section of the
-README, and THEORY.md §8 -- and the degradation chain (now including the
-``shm`` handoff) in docs/RESILIENCE.md.  These tests parse the actual
+README, and THEORY.md §8 -- and the degradation chain (including the
+``pool`` rung of pooled batch groups) in docs/RESILIENCE.md.  These tests parse the actual
 registry constants back out of the prose so renaming a kernel, adding one,
 or reordering the chain fails loudly here instead of silently rotting the
 docs.
@@ -17,6 +17,7 @@ from pathlib import Path
 from repro.queueing import kernels
 from repro.queueing.kernels import KERNELS
 from repro.resilience.degrade import DEGRADATION_CHAIN
+from repro.runner import executor
 
 ROOT = Path(__file__).resolve().parent.parent
 API = ROOT / "docs" / "API.md"
@@ -72,12 +73,18 @@ class TestTheory:
     def test_section8_names_real_modules(self):
         text = THEORY.read_text(encoding="utf-8")
         assert "repro.queueing.kernels" in text
-        for mod in ("soa", "reference", "compiled", "shm"):
+        for mod in ("soa", "reference", "compiled"):
             assert (
                 ROOT / "src" / "repro" / "queueing" / "kernels" / f"{mod}.py"
             ).is_file()
         assert "kernels.reference" in text and "kernels.compiled" in text
-        assert "kernels.shm" in text
+
+    def test_section8_describes_pooled_batch_groups(self):
+        text = THEORY.read_text(encoding="utf-8")
+        assert "**Pooled batch groups.**" in text
+        assert "POOLED_GROUP_MIN_POINTS" in text
+        assert f"{executor.POOLED_GROUP_MIN_POINTS:,}" in text
+        assert "shared_memory" not in text and "kernels.shm" not in text
 
     def test_precedence_statement_present(self):
         text = THEORY.read_text(encoding="utf-8")

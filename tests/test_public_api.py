@@ -2,9 +2,9 @@
 
 Pins the facade introduced in ISSUE 5: ``repro.__all__`` matches the
 documented surface (and docs/API.md names every facade function), every
-facade function's docstring describes each of its parameters, each
-deprecated shim warns exactly once per process and forwards correctly,
-and ``repro.configure`` composes/restores all three subsystems.
+facade function's docstring describes each of its parameters, the old
+per-package ``configure`` shims are gone, and ``repro.configure``
+composes/restores all three subsystems.
 """
 
 import inspect
@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import _deprecation, api
+from repro import api
 
-DOCS_API = Path(__file__).resolve().parent.parent / "docs" / "API.md"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS_API = ROOT / "docs" / "API.md"
 
 #: the documented stable surface, in export order
 DOCUMENTED_SURFACE = [
@@ -60,16 +61,6 @@ FACADE_FUNCTIONS = [
 ]
 
 
-@pytest.fixture()
-def fresh_warnings():
-    """Reset the warn-once registry so each test observes first warnings."""
-    saved = set(_deprecation._WARNED)
-    _deprecation._WARNED.clear()
-    yield
-    _deprecation._WARNED.clear()
-    _deprecation._WARNED.update(saved)
-
-
 class TestSurface:
     def test_all_matches_documented_surface(self):
         assert list(repro.__all__) == DOCUMENTED_SURFACE
@@ -99,6 +90,18 @@ class TestSurface:
         )
 
 
+class TestVersion:
+    def test_pyproject_takes_the_version_from_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            config = tomllib.load(fh)
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+
+
 class TestDocstrings:
     @pytest.mark.parametrize("name", FACADE_FUNCTIONS)
     def test_facade_function_documents_every_parameter(self, name):
@@ -117,58 +120,16 @@ class TestDocstrings:
 
 
 class TestDeprecatedShims:
-    def test_runner_configure_warns_once_and_forwards(self, fresh_warnings):
-        from repro import runner
-        from repro.runner.config import effective_config
+    """The per-package ``configure`` shims are gone (2.0.0)."""
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prev = runner.configure(jobs=7)
-            try:
-                assert effective_config()["jobs"] == 7  # forwarded
-                runner.configure(jobs=3)  # second call: no second warning
-            finally:
-                runner.configure(**prev)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "repro.runner.configure" in str(dep[0].message)
-        assert "repro.configure" in str(dep[0].message)
+    def test_shims_removed(self):
+        from repro import obs, resilience, runner
 
-    def test_obs_configure_warns_once_and_forwards(self, fresh_warnings):
-        from repro import obs
-        from repro.obs.trace import Tracer, get_tracer
+        for module in (runner, obs, resilience):
+            assert not hasattr(module, "configure"), module.__name__
+            assert "configure" not in module.__all__, module.__name__
 
-        tracer = Tracer()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prev = obs.configure(tracer=tracer)
-            try:
-                assert get_tracer() is tracer  # forwarded
-                obs.configure(trace=False)
-            finally:
-                obs.configure(**prev)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "repro.obs.configure" in str(dep[0].message)
-
-    def test_resilience_configure_warns_once_and_forwards(self, fresh_warnings):
-        from repro import resilience
-        from repro.resilience.faults import get_injector
-
-        plan = {"seed": 1, "sites": {"solve.delay": {"on_nth": [99]}}}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prev = resilience.configure(fault_plan=plan)
-            try:
-                assert get_injector() is not None  # forwarded
-                resilience.configure(fault_plan=None)
-            finally:
-                resilience.configure(**prev)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "repro.resilience.configure" in str(dep[0].message)
-
-    def test_facade_configure_never_warns(self, fresh_warnings):
+    def test_facade_configure_never_warns(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             prev = repro.configure(jobs=2, trace=False, fault_plan=None)
