@@ -152,10 +152,10 @@ def solve_points(
     Parameters
     ----------
     points:
-        The :class:`MMSParams` to solve.  All must resolve to the same
-        solver method and machine size (that is what lets them stack into
-        one batched AMVA); symmetric batches are bitwise-identical to
-        per-point :func:`solve`.
+        The points to solve (:class:`MMSParams` for the torus).  All must
+        resolve to the same solver method and network shape (that is what
+        lets them stack into one batched AMVA); every result, ``amva``
+        included, is bitwise-identical to a per-point :func:`solve`.
     method:
         Solver selection, as in :func:`solve`; must be homogeneous across
         the batch.

@@ -21,6 +21,9 @@ network has a product-form solution (paper, Section 2) and is solved with:
 * ``"linearizer"`` -- higher-order AMVA refinement;
 * ``"exact"`` -- exact multi-class MVA (tiny instances; used to bound AMVA
   error, cf. the paper's remark on state-space explosion).
+
+The first two run on the batched kernels behind :func:`solve_points`; a
+single :meth:`MMSModel.solve` is the one-point batch.
 """
 
 from __future__ import annotations
@@ -36,11 +39,9 @@ from ..queueing import (
     BatchTelemetry,
     ClosedNetwork,
     QNSolution,
-    bard_schweitzer,
     exact_mva,
     linearizer,
     solve_batch,
-    solve_symmetric,
     solve_symmetric_batch,
 )
 from ..workload import VisitRatios, pattern_for, visit_ratios_for
@@ -138,8 +139,7 @@ class MMSModel:
         Station order: processors ``0..P-1``, memories ``P..2P-1``, inbound
         switches ``2P..3P-1``, outbound switches ``3P..4P-1``.
         """
-        arch, wl = self.params.arch, self.params.workload
-        p = arch.num_processors
+        p = self.params.arch.num_processors
         vr = self.visit_ratios
         visits = np.concatenate(
             [
@@ -149,6 +149,14 @@ class MMSModel:
                 vr.outbound[0],
             ]
         )
+        service, servers = self._service_and_servers()
+        station_type = np.repeat(np.arange(4), p)
+        return visits, service, station_type, servers
+
+    def _service_and_servers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-station service times and server counts (length ``4P``)."""
+        arch, wl = self.params.arch, self.params.workload
+        p = arch.num_processors
         service = np.concatenate(
             [
                 np.full(p, wl.runlength + arch.context_switch),
@@ -157,37 +165,26 @@ class MMSModel:
                 np.full(p, arch.switch_delay),
             ]
         )
-        station_type = np.repeat(np.arange(4), p)
         servers = np.ones(4 * p, dtype=np.int64)
         servers[p : 2 * p] = arch.memory_ports
-        return visits, service, station_type, servers
+        return service, servers
 
     def build_network(self) -> ClosedNetwork:
         """The full multi-class :class:`ClosedNetwork` (``P`` classes, ``4P``
         stations) -- what the non-symmetric solvers consume."""
-        arch, wl = self.params.arch, self.params.workload
-        p = arch.num_processors
+        p = self.params.arch.num_processors
         vr = self.visit_ratios
         visits = np.concatenate(
             [np.eye(p), vr.memory, vr.inbound, vr.outbound], axis=1
         )
-        service = np.concatenate(
-            [
-                np.full(p, wl.runlength + arch.context_switch),
-                np.full(p, arch.memory_latency),
-                np.full(p, arch.switch_delay),
-                np.full(p, arch.switch_delay),
-            ]
-        )
+        service, servers = self._service_and_servers()
         names = tuple(
             f"{kind}{j}" for kind in ("proc", "mem", "in", "out") for j in range(p)
         )
-        servers = np.ones(4 * p, dtype=np.int64)
-        servers[p : 2 * p] = arch.memory_ports
         return ClosedNetwork(
             visits=visits,
             service=service,
-            populations=np.full(p, wl.num_threads),
+            populations=np.full(p, self.params.workload.num_threads),
             names=names,
             servers=tuple(servers),
         )
@@ -219,61 +216,47 @@ class MMSModel:
     def _solve_impl(self, method: str, tol: float) -> MMSPerformance:
         if method == "auto":
             method = "symmetric" if self.is_symmetric else "amva"
-        if method == "symmetric":
-            if not self.is_symmetric:
-                why = (
-                    "a mesh machine is not vertex transitive"
-                    if not self.params.arch.wraparound
-                    else f"the {self.params.workload.pattern!r} pattern is asymmetric"
-                )
-                raise ValueError(
-                    f"the symmetric solver requires SPMD symmetry; {why} "
-                    "-- use method='amva' (or 'auto')"
-                )
-            visits, service, station_type, servers = self.station_arrays()
-            sol = solve_symmetric(
-                visits,
-                service,
-                station_type,
-                self.params.workload.num_threads,
-                tol=tol,
-                servers=servers,
-            )
-            return self._measures(
-                visits,
-                sol.waiting,
-                sol.queue_length,
-                sol.total_queue,
-                sol.throughput,
-                method,
-                sol.iterations,
-                sol.converged,
-                residual=sol.residual,
-            )
-        if method in ("amva", "linearizer", "exact"):
-            solver = {
-                "amva": bard_schweitzer,
-                "linearizer": linearizer,
-                "exact": exact_mva,
-            }[method]
+        if method in ("symmetric", "amva"):
+            return _solve_models([self], method, tol, kernel=None)[0][0]
+        if method in ("linearizer", "exact"):
+            solver = linearizer if method == "linearizer" else exact_mva
             network = self.build_network()
-            qsol: QNSolution = solver(network)  # type: ignore[operator]
-            if self.is_symmetric:
-                visits = network.visits[0]
-                return self._measures(
-                    visits,
-                    qsol.waiting[0],
-                    qsol.queue_length[0],
-                    qsol.total_queue_length,
-                    float(qsol.throughput[0]),
-                    method,
-                    qsol.iterations,
-                    qsol.converged,
-                    residual=qsol.residual,
-                )
-            return self._measures_aggregate(network, qsol, method)
+            return self._network_measures(network, solver(network), method)
         raise ValueError(
             f"unknown method {method!r}; pick from symmetric/amva/linearizer/exact"
+        )
+
+    def _require_symmetric(self) -> None:
+        """Raise unless the symmetric solver applies to this model."""
+        if self.is_symmetric:
+            return
+        why = (
+            "a mesh machine is not vertex transitive"
+            if not self.params.arch.wraparound
+            else f"the {self.params.workload.pattern!r} pattern is asymmetric"
+        )
+        raise ValueError(
+            f"the symmetric solver requires SPMD symmetry; {why} "
+            "-- use method='amva' (or 'auto')"
+        )
+
+    def _network_measures(
+        self, network: ClosedNetwork, qsol: QNSolution, method: str
+    ) -> MMSPerformance:
+        """Measures from a full multi-class solution: the class-0 view when
+        the workload is symmetric, rate-weighted aggregates otherwise."""
+        if not self.is_symmetric:
+            return self._measures_aggregate(network, qsol, method)
+        return self._measures(
+            network.visits[0],
+            qsol.waiting[0],
+            qsol.queue_length[0],
+            qsol.total_queue_length,
+            float(qsol.throughput[0]),
+            method,
+            qsol.iterations,
+            qsol.converged,
+            residual=qsol.residual,
         )
 
     def _measures_aggregate(
@@ -519,15 +502,15 @@ def solve_points(
     shape (same ``P``); service times, visit ratios and populations may vary
     freely -- exactly the structure of the paper's figure sweeps.  Symmetric
     points go through
-    :func:`~repro.queueing.mva_batch.solve_symmetric_batch`, whose per-point
-    results are bitwise-identical to scalar :meth:`MMSModel.solve`, so the
-    sweep backends can be swapped without disturbing cached records.
-    Asymmetric (hotspot/mesh) points go through the multi-class
-    :func:`~repro.queueing.mva_batch.solve_batch` (pointwise equivalent to
-    the scalar AMVA to well below 1e-10, but not bitwise).  ``kernel``
-    selects the solver kernel (``"auto"``/``"numpy"``/``"numba"``; kernels
-    are bitwise-interchangeable); ``None`` honours :func:`repro.configure`
-    and ``REPRO_SOLVE_KERNEL``.
+    :func:`~repro.queueing.mva_batch.solve_symmetric_batch` and ``amva``
+    (hotspot/mesh) points through the multi-class
+    :func:`~repro.queueing.mva_batch.solve_batch`.  A scalar
+    :meth:`MMSModel.solve` is the one-point case of the same code, so every
+    per-point result is bitwise-identical to it and the sweep backends can
+    be swapped without disturbing cached records.  ``kernel`` selects the
+    solver kernel (``"auto"``/``"numpy"``/``"numba"``; kernels are
+    bitwise-interchangeable); ``None`` honours :func:`repro.configure` and
+    ``REPRO_SOLVE_KERNEL``.
 
     Returns the performances in input order plus the shared
     :class:`~repro.queueing.solution.BatchTelemetry` (``None`` for an empty
@@ -536,12 +519,15 @@ def solve_points(
     Raises
     ------
     ValueError
-        If the points mix solver methods or network shapes.
+        If the points mix solver methods or network shapes, or if
+        ``method="symmetric"`` meets a point without SPMD symmetry.
     """
     if not points:
         return [], None
     with trace_span("solver.batch", points=len(points)) as sp:
-        perfs, batch = _solve_points_impl(points, method, tol, kernel)
+        perfs, batch = _solve_models(
+            _models_sharing_visits(points), method, tol, kernel
+        )
         _record_batch_obs(sp, perfs[0].method if perfs else method, batch)
         return perfs, batch
 
@@ -562,10 +548,16 @@ def _models_sharing_visits(points: "Sequence[MMSParams]") -> list[MMSModel]:
     return models
 
 
-def _solve_points_impl(
-    points: "Sequence[MMSParams]", method: str, tol: float, kernel: str | None
+def _solve_models(
+    models: "Sequence[MMSModel]", method: str, tol: float, kernel: str | None
 ) -> tuple[list[MMSPerformance], "BatchTelemetry | None"]:
-    models = _models_sharing_visits(points)
+    """Solve same-size models with one batched fixed point.
+
+    The one solve path for ``symmetric`` and ``amva``: a single
+    :meth:`MMSModel.solve` is the one-model case.  The ``amva`` path keeps
+    :func:`~repro.queueing.mva_batch.solve_batch`'s own tolerance, the one
+    every stored ``amva`` record was solved at.
+    """
     if method == "auto":
         resolved = {"symmetric" if m.is_symmetric else "amva" for m in models}
         if len(resolved) > 1:
@@ -581,6 +573,8 @@ def _solve_points_impl(
         )
 
     if method == "symmetric":
+        for model in models:
+            model._require_symmetric()
         arrays = [m.station_arrays() for m in models]
         visits = np.stack([a[0] for a in arrays])
         service = np.stack([a[1] for a in arrays])
@@ -605,33 +599,16 @@ def _solve_points_impl(
             )
             for model, arr, sol in zip(models, arrays, sols)
         ]
-        batch = sols[0].telemetry.batch if sols[0].telemetry else None
-        return perfs, batch
-
-    if method == "amva":
+    elif method == "amva":
         networks = [m.build_network() for m in models]
-        qsols = solve_batch(networks, kernel=kernel)
-        perfs = []
-        for model, network, qsol in zip(models, networks, qsols):
-            if model.is_symmetric:
-                perfs.append(
-                    model._measures(
-                        network.visits[0],
-                        qsol.waiting[0],
-                        qsol.queue_length[0],
-                        qsol.total_queue_length,
-                        float(qsol.throughput[0]),
-                        method,
-                        qsol.iterations,
-                        qsol.converged,
-                        residual=qsol.residual,
-                    )
-                )
-            else:
-                perfs.append(model._measures_aggregate(network, qsol, method))
-        batch = qsols[0].telemetry.batch if qsols[0].telemetry else None
-        return perfs, batch
-
-    raise ValueError(
-        f"solve_points supports method 'auto', 'symmetric' or 'amva'; got {method!r}"
-    )
+        sols = solve_batch(networks, kernel=kernel)
+        perfs = [
+            model._network_measures(network, sol, method)
+            for model, network, sol in zip(models, networks, sols)
+        ]
+    else:
+        raise ValueError(
+            "solve_points supports method 'auto', 'symmetric' or 'amva'; "
+            f"got {method!r}"
+        )
+    return perfs, sols[0].telemetry.batch if sols[0].telemetry else None

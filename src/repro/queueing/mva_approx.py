@@ -6,8 +6,10 @@ class-``i`` customer sees at population ``N`` by the proportional reduction
     Q_m(N - e_i)  ~=  (N_i - 1)/N_i * Q_{i,m}(N)  +  sum_{j != i} Q_{j,m}(N)
 
 and iterates steps 2-5 of Figure 3 until the queue lengths are stable.  The
-implementation below is fully vectorized over classes x stations and supports
-zero-service (ideal) stations and delay stations.
+iteration has one implementation, the batched kernel behind
+:func:`~repro.queueing.mva_batch.solve_batch`; :func:`bard_schweitzer` is its
+``B = 1`` case, so zero-service (ideal) stations, delay stations and the
+Seidmann multi-server split behave exactly as in a batched sweep.
 
 An optional Linearizer-style refinement (:func:`linearizer`) is provided as a
 higher-accuracy alternative (Chandy & Neuse's scheme, simplified to the
@@ -16,41 +18,15 @@ standard three-pass core); the paper's results use plain Bard-Schweitzer.
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
 
+from .mva_batch import solve_batch
 from .network import ClosedNetwork
-from .solution import (
-    ConvergenceError,
-    ConvergenceWarning,
-    QNSolution,
-    SolverTelemetry,
-)
+from .solution import ConvergenceWarning, QNSolution
 
 __all__ = ["bard_schweitzer", "linearizer"]
-
-
-def _bs_waiting(
-    service: np.ndarray,
-    queueing: np.ndarray,
-    q: np.ndarray,
-    pops: np.ndarray,
-    delay: np.ndarray | None = None,
-) -> np.ndarray:
-    """One arrival-theorem evaluation of the (C, M) waiting-time matrix.
-
-    ``service`` is the queueing portion (``s/m`` under Seidmann) and
-    ``delay`` the fixed multi-server pipeline term (zero for single
-    servers).
-    """
-    q_total = q.sum(axis=0, keepdims=True)  # (1, M)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        own_share = np.where(pops[:, None] > 0, q / pops[:, None], 0.0)
-    seen = q_total - own_share  # (C, M): Q_m(N - e_c) estimate
-    d = 0.0 if delay is None else delay
-    return np.where(queueing[None, :], service * (1.0 + seen) + d, service + d)
 
 
 def bard_schweitzer(
@@ -60,6 +36,10 @@ def bard_schweitzer(
     strict: bool = False,
 ) -> QNSolution:
     """Solve a closed multi-class network with the Bard-Schweitzer AMVA.
+
+    This is the ``B = 1`` case of :func:`~repro.queueing.mva_batch.solve_batch`,
+    so a network solved alone and the same network solved inside a
+    sweep-sized batch give bitwise-identical results.
 
     Parameters
     ----------
@@ -78,57 +58,7 @@ def bard_schweitzer(
         Raise :class:`ConvergenceError` instead of warning when the cap is
         exhausted.
     """
-    t0 = time.perf_counter()
-    c, m = network.num_classes, network.num_stations
-    v = network.visits
-    s, extra = network.seidmann_split()
-    pops = network.populations.astype(np.float64)
-    queueing = network.queueing_mask()
-
-    # Figure 3, step 1: spread each class evenly over the stations it visits.
-    visited = v > 0
-    n_visited = np.maximum(visited.sum(axis=1, keepdims=True), 1)
-    q = np.where(visited, pops[:, None] / n_visited, 0.0)
-
-    x = np.zeros(c)
-    w = np.zeros((c, m))
-    converged = False
-    it = 0
-    delta = 0.0
-    for it in range(1, max_iter + 1):
-        w = _bs_waiting(s, queueing, q, pops, extra)  # step 2
-        denom = np.einsum("cm,cm->c", v, w)  # step 3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(denom > 0, pops / denom, 0.0)
-        q_new = x[:, None] * v * w  # step 4
-        delta = float(np.max(np.abs(q_new - q), initial=0.0))
-        q = q_new
-        if delta <= tol:  # step 5
-            converged = True
-            break
-    if not converged and it:
-        msg = (
-            f"bard_schweitzer did not converge within {max_iter} iterations "
-            f"(residual {delta:.3e} > tol {tol:.1e})"
-        )
-        if strict:
-            raise ConvergenceError(msg)
-        warnings.warn(msg, ConvergenceWarning, stacklevel=2)
-    return QNSolution(
-        network=network,
-        throughput=x,
-        waiting=w,
-        queue_length=q,
-        iterations=it,
-        converged=converged,
-        residual=delta,
-        telemetry=SolverTelemetry(
-            iterations=it,
-            residual=delta,
-            converged=converged,
-            wall_time_s=time.perf_counter() - t0,
-        ),
-    )
+    return solve_batch([network], tol=tol, max_iter=max_iter, strict=strict)[0]
 
 
 def linearizer(
@@ -144,6 +74,10 @@ def linearizer(
     populations with Bard-Schweitzer-style cores, then correcting the arrival
     queue estimates.  Typically ~10x closer to exact MVA than plain
     Bard-Schweitzer at a few times the cost.
+
+    ``iterations`` counts outer passes and ``residual`` is the last pass's
+    max queue-length change; hitting ``max_outer`` first emits a
+    :class:`ConvergenceWarning` and flags the result ``converged=False``.
     """
     c, m = network.num_classes, network.num_stations
     v = network.visits
@@ -151,31 +85,40 @@ def linearizer(
     pops = network.populations.astype(np.float64)
     queueing = network.queueing_mask()
 
-    def core(pop_vec: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """BS core at population ``pop_vec`` with deviation corrections.
+    def one_removed(pop_vec: np.ndarray, j: int) -> np.ndarray:
+        reduced = pop_vec.copy()
+        if reduced[j] > 0:
+            reduced[j] -= 1
+        return reduced
+
+    def update(
+        pop_vec: np.ndarray, q: np.ndarray, delta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One corrected BS update at population ``pop_vec``: ``(W, X, Q)``.
 
         ``delta[j, c, m]`` corrects class-``c``'s fraction at station ``m`` as
-        seen when one class-``j`` customer is removed.  Returns (C, M) queues.
+        seen when one class-``j`` customer is removed.
         """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(pop_vec[:, None] > 0, q / pop_vec[:, None], 0.0)
+        # population seen by an arriving class-j customer
+        seen = np.empty((c, m))
+        for j in range(c):
+            est = (frac + delta[j]) * one_removed(pop_vec, j)[:, None]
+            seen[j] = est.sum(axis=0)
+        w_ = np.where(queueing[None, :], s * (1.0 + seen) + extra, s + extra)
+        denom = np.einsum("cm,cm->c", v, w_)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_ = np.where(denom > 0, pop_vec / denom, 0.0)
+        return w_, x_, x_[:, None] * v * w_
+
+    def core(pop_vec: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """BS core at population ``pop_vec``; returns (C, M) queues."""
         visited = v > 0
         n_vis = np.maximum(visited.sum(axis=1, keepdims=True), 1)
         q = np.where(visited, pop_vec[:, None] / n_vis, 0.0)
         for _ in range(100_000):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.where(pop_vec[:, None] > 0, q / pop_vec[:, None], 0.0)
-            # population seen by an arriving class-j customer
-            seen = np.empty((c, m))
-            for j in range(c):
-                reduced = pop_vec.copy()
-                if reduced[j] > 0:
-                    reduced[j] -= 1
-                est = (frac + delta[j]) * reduced[:, None]
-                seen[j] = est.sum(axis=0)
-            w_ = np.where(queueing[None, :], s * (1.0 + seen) + extra, s + extra)
-            denom = np.einsum("cm,cm->c", v, w_)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_ = np.where(denom > 0, pop_vec / denom, 0.0)
-            q_new = x_[:, None] * v * w_
+            q_new = update(pop_vec, q, delta)[2]
             if float(np.max(np.abs(q_new - q), initial=0.0)) <= inner_tol:
                 return q_new
             q = q_new
@@ -183,13 +126,12 @@ def linearizer(
 
     delta = np.zeros((c, c, m))
     q_full = core(pops, delta)
-    for _ in range(max_outer):
+    outer, moved = 0, np.inf
+    for outer in range(1, max_outer + 1):
         # Solve each one-customer-removed population with current deltas.
         fracs_reduced = np.empty((c, c, m))
         for j in range(c):
-            reduced = pops.copy()
-            if reduced[j] > 0:
-                reduced[j] -= 1
+            reduced = one_removed(pops, j)
             q_red = core(reduced, delta)
             with np.errstate(divide="ignore", invalid="ignore"):
                 fracs_reduced[j] = np.where(
@@ -203,27 +145,24 @@ def linearizer(
         delta, q_full = delta_new, q_new
         if moved <= tol:
             break
+    converged = moved <= tol
+    if not converged:
+        warnings.warn(
+            f"linearizer did not converge within {max_outer} outer iterations "
+            f"(residual {moved:.3e} > tol {tol:.1e})",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
 
     # Final consistent measures: waiting via the linearizer's own arrival
     # estimate at the converged queues.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(pops[:, None] > 0, q_full / pops[:, None], 0.0)
-    seen = np.empty((c, m))
-    for j in range(c):
-        reduced = pops.copy()
-        if reduced[j] > 0:
-            reduced[j] -= 1
-        seen[j] = ((frac + delta[j]) * reduced[:, None]).sum(axis=0)
-    w = np.where(queueing[None, :], s * (1.0 + seen) + extra, s + extra)
-    denom = np.einsum("cm,cm->c", v, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(denom > 0, pops / denom, 0.0)
-    q_final = x[:, None] * v * w
+    w, x, q_final = update(pops, q_full, delta)
     return QNSolution(
         network=network,
         throughput=x,
         waiting=w,
         queue_length=q_final,
-        iterations=max_outer,
-        converged=True,
+        iterations=outer,
+        converged=converged,
+        residual=moved,
     )

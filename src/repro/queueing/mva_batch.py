@@ -22,7 +22,8 @@ lattice is packed into structure-of-arrays state
 
 The per-point iterate sequence is unchanged by masking or kernel choice
 (points never interact), so each point converges in the same number of
-iterations, to the same values, as a scalar solve.
+iterations, to the same values, as a scalar solve -- which is this code
+at ``B = 1``.
 
 Numerical contract
 ------------------
@@ -34,9 +35,8 @@ across kernels**, which is what lets
 :func:`~repro.queueing.mva_symmetric.solve_symmetric` delegate here and
 lets serial, batched and process-pool sweep backends emit
 bitwise-identical records under any kernel.  :func:`solve_batch` (the
-multi-class kernel) carries the same bitwise cross-kernel contract and is
-property-tested pointwise-equivalent to
-:func:`~repro.queueing.mva_approx.bard_schweitzer` to well below 1e-10.
+multi-class kernel) carries the same contracts, and
+:func:`~repro.queueing.mva_approx.bard_schweitzer` is its ``B = 1`` case.
 The conformance suite (``tests/queueing/test_kernel_conformance.py``)
 pins the full backend x kernel matrix.
 """
@@ -50,7 +50,13 @@ from typing import Sequence
 import numpy as np
 
 from ..resilience.faults import InjectedFault, fault_point
-from .kernels import MulticlassSoA, SymmetricSoA, kernel_impl, resolve_kernel
+from .kernels import (
+    FixedPointResult,
+    MulticlassSoA,
+    SymmetricSoA,
+    kernel_impl,
+    resolve_kernel,
+)
 from .mva_symmetric import SymmetricSolution
 from .network import ClosedNetwork
 from .solution import (
@@ -64,15 +70,65 @@ from .solution import (
 __all__ = ["solve_batch", "solve_symmetric_batch"]
 
 
-def _nonconvergence(label: str, stragglers: int, residual: float, tol: float,
-                    max_iter: int, strict: bool) -> None:
-    msg = (
-        f"{label}: {stragglers} point(s) did not converge within "
-        f"{max_iter} iterations (worst residual {residual:.3e} > tol {tol:.1e})"
+def _fixed_point(
+    label: str,
+    kind: str,
+    soa: MulticlassSoA | SymmetricSoA,
+    t0: float,
+    tol: float,
+    max_iter: int,
+    strict: bool,
+    kernel: str | None,
+) -> tuple[FixedPointResult, BatchTelemetry]:
+    """Run the selected kernel's ``{kind}_fixed_point`` on a packed batch:
+    flag stragglers (warn, or raise under ``strict``), apply the
+    ``solve.nan`` fault site, and build the shared batch telemetry."""
+    kernel_name = resolve_kernel(kernel)
+    fixed_point = getattr(kernel_impl(kernel_name), f"{kind}_fixed_point")
+    res = fixed_point(soa, tol, max_iter)
+    b_total = len(res.iterations)
+    stragglers = b_total - int(res.converged.sum())
+    if stragglers:
+        residual = float(res.residual[~res.converged].max())
+        msg = (
+            f"{label}: {stragglers} point(s) did not converge within "
+            f"{max_iter} iterations (worst residual {residual:.3e} > "
+            f"tol {tol:.1e})"
+        )
+        if strict:
+            raise ConvergenceError(msg)
+        warnings.warn(msg, ConvergenceWarning, stacklevel=3)
+
+    spec = fault_point("solve.nan")
+    if spec is not None:  # poison one point's measures (chaos testing)
+        i = int(spec.args.get("index", 0)) % b_total
+        res.x[i] = np.nan
+        res.w[i] = np.nan
+        res.q[i] = np.nan
+
+    batch = BatchTelemetry(
+        batch_size=b_total,
+        iterations=int(res.iterations.max(initial=0)),
+        converged=int(res.converged.sum()),
+        max_residual=float(np.max(res.residual, initial=0.0)),
+        active_trajectory=res.trajectory,
+        wall_time_s=time.perf_counter() - t0,
+        kernel=kernel_name,
     )
-    if strict:
-        raise ConvergenceError(msg)
-    warnings.warn(msg, ConvergenceWarning, stacklevel=3)
+    return res, batch
+
+
+def _telemetry(
+    res: FixedPointResult, i: int, batch: BatchTelemetry
+) -> SolverTelemetry:
+    """Point ``i``'s own diagnostics, carrying the shared batch view."""
+    return SolverTelemetry(
+        iterations=int(res.iterations[i]),
+        residual=float(res.residual[i]),
+        converged=bool(res.converged[i]),
+        wall_time_s=batch.wall_time_s,
+        batch=batch,
+    )
 
 
 def solve_batch(
@@ -89,11 +145,9 @@ def solve_batch(
     networks:
         Network specifications; all must share the ``(C, M)`` shape (service
         times, visit ratios, populations and server counts may differ
-        freely).  Zero-service (ideal-subsystem) stations are allowed, as in
-        the scalar solver.
+        freely).  Zero-service (ideal-subsystem) stations are allowed.
     tol / max_iter:
-        Per-point convergence threshold and iteration cap (the scalar
-        :func:`~repro.queueing.mva_approx.bard_schweitzer` defaults).
+        Per-point convergence threshold and iteration cap.
     strict:
         Raise :class:`ConvergenceError` if any point exhausts ``max_iter``;
         the default emits a :class:`ConvergenceWarning` and returns the last
@@ -115,51 +169,19 @@ def solve_batch(
         raise InjectedFault("injected failure at solve_batch entry")
     t0 = time.perf_counter()
     soa = MulticlassSoA.from_networks(networks)
-    b_total = len(networks)
-    kernel_name = resolve_kernel(kernel)
-    res = kernel_impl(kernel_name).multiclass_fixed_point(soa, tol, max_iter)
-
-    stragglers = b_total - int(res.converged.sum())
-    if stragglers:
-        _nonconvergence(
-            "solve_batch", stragglers,
-            float(res.residual[~res.converged].max()),
-            tol, max_iter, strict,
-        )
-
-    x, w, q = res.x, res.w, res.q
-    spec = fault_point("solve.nan")
-    if spec is not None:  # poison one point's measures (chaos testing)
-        i = int(spec.args.get("index", 0)) % b_total
-        x[i] = np.nan
-        w[i] = np.nan
-        q[i] = np.nan
-
-    batch = BatchTelemetry(
-        batch_size=b_total,
-        iterations=int(res.iterations.max(initial=0)),
-        converged=int(res.converged.sum()),
-        max_residual=float(np.max(res.residual, initial=0.0)),
-        active_trajectory=res.trajectory,
-        wall_time_s=time.perf_counter() - t0,
-        kernel=kernel_name,
+    res, batch = _fixed_point(
+        "solve_batch", "multiclass", soa, t0, tol, max_iter, strict, kernel
     )
     return [
         QNSolution(
             network=net,
-            throughput=x[i],
-            waiting=w[i],
-            queue_length=q[i],
+            throughput=res.x[i],
+            waiting=res.w[i],
+            queue_length=res.q[i],
             iterations=int(res.iterations[i]),
             converged=bool(res.converged[i]),
             residual=float(res.residual[i]),
-            telemetry=SolverTelemetry(
-                iterations=int(res.iterations[i]),
-                residual=float(res.residual[i]),
-                converged=bool(res.converged[i]),
-                wall_time_s=batch.wall_time_s,
-                batch=batch,
-            ),
+            telemetry=_telemetry(res, i, batch),
         )
         for i, net in enumerate(networks)
     ]
@@ -194,53 +216,23 @@ def solve_symmetric_batch(
         raise InjectedFault("injected failure at solve_symmetric_batch entry")
     t0 = time.perf_counter()
     soa = SymmetricSoA.pack(visits, service, station_type, populations, servers)
-    b_total = soa.batch
-    if b_total == 0:
+    if soa.batch == 0:
         return []
-    kernel_name = resolve_kernel(kernel)
-    res = kernel_impl(kernel_name).symmetric_fixed_point(soa, tol, max_iter)
-
-    stragglers = b_total - int(res.converged.sum())
-    if stragglers:
-        _nonconvergence(
-            "solve_symmetric_batch", stragglers,
-            float(res.residual[~res.converged].max()), tol, max_iter, strict,
-        )
-
-    x, w, q = res.x, res.w, res.q
-    spec = fault_point("solve.nan")
-    if spec is not None:  # poison one point's measures (chaos testing)
-        i = int(spec.args.get("index", 0)) % b_total
-        x[i] = np.nan
-        w[i] = np.nan
-        q[i] = np.nan
-
-    total_queue = soa.pooled_totals(q)
-    batch = BatchTelemetry(
-        batch_size=b_total,
-        iterations=int(res.iterations.max(initial=0)),
-        converged=int(res.converged.sum()),
-        max_residual=float(np.max(res.residual, initial=0.0)),
-        active_trajectory=res.trajectory,
-        wall_time_s=time.perf_counter() - t0,
-        kernel=kernel_name,
+    res, batch = _fixed_point(
+        "solve_symmetric_batch", "symmetric", soa, t0, tol, max_iter, strict,
+        kernel,
     )
+    total_queue = soa.pooled_totals(res.q)
     return [
         SymmetricSolution(
-            throughput=float(x[i]),
-            waiting=w[i],
-            queue_length=q[i],
+            throughput=float(res.x[i]),
+            waiting=res.w[i],
+            queue_length=res.q[i],
             total_queue=total_queue[i],
             iterations=int(res.iterations[i]),
             converged=bool(res.converged[i]),
             residual=float(res.residual[i]),
-            telemetry=SolverTelemetry(
-                iterations=int(res.iterations[i]),
-                residual=float(res.residual[i]),
-                converged=bool(res.converged[i]),
-                wall_time_s=batch.wall_time_s,
-                batch=batch,
-            ),
+            telemetry=_telemetry(res, i, batch),
         )
-        for i in range(b_total)
+        for i in range(soa.batch)
     ]

@@ -7,11 +7,12 @@ Execution pipeline for one :meth:`SweepRunner.run`:
 2. **Probe the store**: keys with a persisted result become cache hits.
 3. **Solve the misses** on one of three backends:
 
-   * ``batch`` -- stack same-shape points into one batched AMVA fixed point
-     (:func:`repro.core.model.solve_points`); the in-process default for
+   * ``batch`` -- stack points with one :meth:`Scenario.batch_key
+     <repro.scenarios.base.Scenario.batch_key>` into one batched AMVA fixed
+     point (the scenario's ``solve_points``); the in-process default for
      figure-sized lattices, typically an order of magnitude faster than the
-     per-point loop.  Symmetric points come back bitwise-identical to a
-     scalar solve, so swapping backends never disturbs cached records.
+     per-point loop.  Points come back bitwise-identical to a scalar
+     solve, so swapping backends never disturbs cached records.
    * ``process`` -- a ``ProcessPoolExecutor`` with per-point timeout.
      Batchable groups of at least :data:`POOLED_GROUP_MIN_POINTS` points
      are cut into one chunk per worker and solved batched in the pool.
@@ -178,32 +179,28 @@ def _batch_groups(
 ) -> tuple[list[tuple], list[Mapping[str, object]]]:
     """Split *pending* into batchable groups and per-point leftovers.
 
-    Points group by ``(scenario, canonical method, scenario.group_key)``,
+    Points group by ``(scenario, canonical method, scenario.batch_key)``,
     the homogeneity a scenario's ``solve_points`` requires (for the torus:
-    one machine size).  A group batches when its key is not ``None``, its
-    method is one of the scenario's ``batchable_methods`` and it has at
-    least *min_points* points.  Returns ``[(scenario, method, payloads,
-    params)]`` for those and the rest in first-seen group order.
+    one machine size).  A group batches when its key is not ``None`` and
+    it has at least *min_points* points.  Returns ``[(scenario, method,
+    payloads, params)]`` for those and the rest in first-seen group order.
     """
     groups: dict[tuple, tuple[list, list]] = {}
     for payload in pending:
         scenario = payload_scenario(payload)
         params = scenario.params_from_dict(payload["params"])
-        key = (scenario.name, payload["method"], scenario.group_key(params))
+        method = payload["method"]
+        key = (scenario.name, method, scenario.batch_key(params, method))
         payloads, points = groups.setdefault(key, ([], []))
         payloads.append(payload)
         points.append(params)
     batched: list[tuple] = []
     rest: list[Mapping[str, object]] = []
-    for (_name, method, group_key), (payloads, points) in groups.items():
-        scenario = payload_scenario(payloads[0])
-        if (
-            group_key is None
-            or method not in scenario.batchable_methods
-            or len(payloads) < min_points
-        ):
+    for (_name, method, batch_key), (payloads, points) in groups.items():
+        if batch_key is None or len(payloads) < min_points:
             rest.extend(payloads)
         else:
+            scenario = payload_scenario(payloads[0])
             batched.append((scenario, method, payloads, points))
     return batched, rest
 

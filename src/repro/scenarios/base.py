@@ -201,6 +201,15 @@ class Scenario(abc.ABC):
         del params
         return None
 
+    def batch_key(self, params: Any, method: str) -> Any:
+        """The one batching rule: points with equal non-``None`` keys may
+        stack into one :meth:`solve_points` call (sweep groups, serve
+        buckets).  ``method`` is the canonical method; a method outside
+        :attr:`batchable_methods` never batches."""
+        if method not in self.batchable_methods:
+            return None
+        return self.group_key(params)
+
     @abc.abstractmethod
     def perf_from_dict(self, data: Mapping[str, Any]) -> Any:
         """Rebuild a performance object from a cached record."""

@@ -13,23 +13,28 @@ processor (``num_threads`` threads each) over the station layout
 
     [P processors][P memories][P intra links][c gateways],   P = c * g
 
--- but is solved with the full multi-class Bard-Schweitzer AMVA
-(:func:`repro.queueing.bard_schweitzer`): the ``c`` gateway stations are
-shared by ``g`` classes each, so the symmetric fast path's per-label
-queue pooling (which assumes one station per class per label) does not
-apply.  Remote accesses traverse the source and destination
+-- but is solved with the full multi-class Bard-Schweitzer AMVA, the
+batched kernel of :func:`repro.queueing.solve_batch`: the ``c`` gateway
+stations are shared by ``g`` classes each, so the symmetric fast path's
+per-label queue pooling (which assumes one station per class per label)
+does not apply.  Remote accesses traverse the source and destination
 intra-cluster links (two crossings each for request + reply), and
 inter-cluster accesses additionally cross both the source and
 destination gateways.
+
+Points of one ``(clusters, cluster_size)`` shape stack into one fixed
+point (sweep batch groups, serve buckets), and a single solve is the
+one-point batch, so both give bitwise-identical records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ..obs import trace_span
 from ..params import ParamError
 from .base import Scenario, ScenarioPerformance
 
@@ -196,7 +201,7 @@ class HierScenario(Scenario):
     name = "hier"
     title = "mesh-of-clusters with mixed intra/inter-cluster link speeds"
     params_type = HierParams
-    batchable_methods = ()
+    batchable_methods = ("amva",)
     tolerance_subsystems = ("network", "interlink", "memory")
 
     def default_params(self) -> HierParams:
@@ -219,11 +224,43 @@ class HierScenario(Scenario):
         method: str = "auto",
         tol: float = 1e-12,
     ) -> ScenarioPerformance:
-        from ..queueing import bard_schweitzer
+        return self.solve_points([params], method=method, tol=tol)[0][0]
 
-        canonical = self.canonical_method(params, method)
-        network = build_network(params)
-        sol = bard_schweitzer(network, tol=tol)
+    def solve_points(
+        self,
+        points: Sequence[HierParams],
+        method: str = "auto",
+        tol: float = 1e-12,
+        kernel: str | None = None,
+    ) -> tuple[list[ScenarioPerformance], Any]:
+        """Solve same-shape points (one ``group_key``) with one batched
+        AMVA; a single :meth:`solve` is the one-point batch."""
+        from ..core.model import _record_batch_obs
+        from ..queueing import solve_batch
+
+        if not points:
+            return [], None
+        canonical = self.canonical_method(points[0], method)
+        with trace_span("solver.batch", points=len(points)) as sp:
+            networks = [build_network(p) for p in points]
+            sols = solve_batch(networks, tol=tol, kernel=kernel)
+            batch = sols[0].telemetry.batch
+            _record_batch_obs(sp, canonical, batch)
+        perfs = [
+            self._performance(p, net, sol, canonical)
+            for p, net, sol in zip(points, networks, sols)
+        ]
+        return perfs, batch
+
+    def group_key(self, params: HierParams) -> Any:
+        # the network shape: (classes, stations) = (c*g, 3*c*g + c)
+        return (params.clusters, params.cluster_size)
+
+    def _performance(
+        self, params: HierParams, network: Any, sol: Any, method: str
+    ) -> ScenarioPerformance:
+        """The scenario's measures from one solved network (class 0's
+        view)."""
         n_proc = params.num_processors
         x = float(sol.throughput[0])
         p_rem, _intra, _inter = _routing(params)
@@ -242,7 +279,7 @@ class HierScenario(Scenario):
         )
         return ScenarioPerformance(
             scenario=self.name,
-            method=canonical,
+            method=method,
             measures={
                 "U_p": x * params.runlength,
                 "throughput": x,

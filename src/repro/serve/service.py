@@ -15,19 +15,20 @@ them into the batched fixed points the solver layer is fast at:
    queue is an explicit :class:`QueueFullError` -- never an unbounded queue,
    never a hang.
 2. **Coalescing** (the micro-batcher thread): admitted requests accumulate
-   in per-shape buckets -- symmetric-method points of the same machine size
-   can stack into one batched AMVA fixed point.  A bucket flushes when it
-   reaches ``max_batch`` or when its oldest request has lingered
+   in per-shape buckets keyed by the sweep runner's batching rule,
+   :meth:`Scenario.batch_key <repro.scenarios.base.Scenario.batch_key>` --
+   points of one scenario, canonical method and shape (for the torus, one
+   machine size) can stack into one batched fixed point.  A bucket flushes
+   when it reaches ``max_batch`` or when its oldest request has lingered
    ``linger`` seconds, whichever comes first; the linger *adapts* to the
    observed arrival rate (see :class:`ServiceConfig.adaptive`), so a burst
    coalesces wide while a trickle is answered immediately.
-3. **Execution**: symmetric buckets of two or more points go through
-   :func:`repro.core.model.solve_points`, whose per-point results are
-   **bitwise identical** to a scalar :meth:`~repro.core.model.MMSModel.solve`
-   (the PR-2 contract); everything else -- single points, asymmetric
-   workloads, exotic methods, or a batch whose kernel raised -- degrades to
-   the scalar solver, so a response never depends on what it shared a batch
-   with.
+3. **Execution**: buckets of two or more points go through the scenario's
+   ``solve_points``, whose per-point results are **bitwise identical** to
+   its scalar ``solve`` (a single solve is the one-point batch);
+   everything else -- single points, methods or scenarios without a batch
+   path, or a batch whose kernel raised -- degrades to the scalar solver,
+   so a response never depends on what it shared a batch with.
 
 Every stage is observable through :mod:`repro.obs`: ``serve.*`` counters,
 queue-depth gauges, batch-width / linger / request-latency histograms, and
@@ -44,7 +45,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..core.model import solve_points
 from ..obs import registry as obs_registry
 from ..obs import trace_span
 from ..obs.timeseries import MetricsRecorder
@@ -744,7 +744,7 @@ class SolveService:
 
     def _batch_loop(self) -> None:
         """The micro-batcher: accumulate, flush on width or linger, solve."""
-        buckets: dict[tuple[str, int], _Bucket] = {}
+        buckets: dict[tuple | None, _Bucket] = {}
         while True:
             with self._cond:
                 wait = self._next_wait(buckets)
@@ -791,37 +791,44 @@ class SolveService:
                     return
 
     @staticmethod
-    def _bucket_key(request: _Request) -> tuple[str, int]:
+    def _bucket_key(request: _Request) -> tuple | None:
         """Coalescing compatibility class of one request.
 
-        Only torus ``symmetric``-method points may stack (the batched
-        symmetric kernel is bitwise-equal to the scalar solver); they group
-        by machine size so the stacked arrays share a shape.  Everything
-        else -- asymmetric torus points, exotic methods, and every
-        non-torus scenario -- is its own singleton class and will be
-        answered by the scalar solver.
+        The runner's batching rule, :meth:`Scenario.batch_key
+        <repro.scenarios.base.Scenario.batch_key>`: requests of one
+        scenario and canonical method with equal non-``None`` keys (for
+        the torus, one machine size) stack into one ``solve_points`` call,
+        whose per-point results are bitwise those of a single solve.  A
+        ``None`` key -- an unbatchable method or scenario -- is a
+        singleton class answered by the scalar solver.
         """
-        if request.scenario == DEFAULT_SCENARIO and request.method == "symmetric":
-            return ("symmetric", request.params.arch.num_processors)
-        return ("scalar", -1)
+        key = get_scenario(request.scenario).batch_key(
+            request.params, request.method
+        )
+        if key is None:
+            return None
+        return (request.scenario, request.method, key)
+
+    def _due(self, bucket: _Bucket) -> float:
+        """Monotonic instant *bucket* must flush by (lock held): the end of
+        its linger or its earliest deadline; ``0.0`` (at once) for an
+        empty, scalar or full bucket -- scalar classes never linger."""
+        requests = bucket.requests
+        if (
+            not requests
+            or self._bucket_key(requests[0]) is None
+            or len(requests) >= self.config.max_batch
+        ):
+            return 0.0
+        due = bucket.t_open + self._linger_for(len(requests))
+        for request in requests:
+            if request.deadline is not None:
+                due = min(due, request.deadline)
+        return due
 
     def _should_flush(self, bucket: _Bucket, now: float) -> bool:
-        requests = bucket.requests
-        if not requests:
-            return True
-        if self._bucket_key(requests[0])[0] != "symmetric":
-            return True  # scalar classes never linger
-        if len(requests) >= self.config.max_batch:
-            return True
         with self._cond:
-            linger = self._linger_for(len(requests))
-        deadline = min(
-            (r.deadline for r in requests if r.deadline is not None),
-            default=None,
-        )
-        if deadline is not None and now >= deadline:
-            return True
-        return now - bucket.t_open >= linger
+            return now >= self._due(bucket)
 
     def _next_wait(self, buckets: dict) -> float | None:
         """Seconds until the earliest bucket must flush (lock held).
@@ -829,28 +836,10 @@ class SolveService:
         ``None`` means nothing is pending (sleep until notified); ``0.0``
         means a bucket is already due.
         """
-        if not buckets:
+        dues = [self._due(b) for b in buckets.values() if b.requests]
+        if not dues:
             return None
-        now = time.monotonic()
-        earliest: float | None = None
-        for bucket in buckets.values():
-            if not bucket.requests:
-                continue
-            if self._bucket_key(bucket.requests[0])[0] != "symmetric":
-                return 0.0
-            if len(bucket.requests) >= self.config.max_batch:
-                return 0.0
-            due = bucket.t_open + self._linger_for(len(bucket.requests))
-            deadline = min(
-                (r.deadline for r in bucket.requests if r.deadline is not None),
-                default=None,
-            )
-            if deadline is not None:
-                due = min(due, deadline)
-            earliest = due if earliest is None else min(earliest, due)
-        if earliest is None:
-            return None
-        return max(0.0, earliest - now)
+        return max(0.0, min(dues) - time.monotonic())
 
     # ------------------------------------------------------------- execution
     def _abandon(self, requests: Iterable[_Request]) -> None:
@@ -877,7 +866,7 @@ class SolveService:
                 live.append(request)
         return live
 
-    def _flush(self, bkey: tuple[str, int], bucket: _Bucket) -> None:
+    def _flush(self, bkey: tuple | None, bucket: _Bucket) -> None:
         """Solve one bucket and answer every request it carries."""
         now = time.monotonic()
         with self._cond:
@@ -891,7 +880,7 @@ class SolveService:
         with trace_span(
             "serve.batch", width=width, shape=str(bkey), linger_s=lingered
         ) as sp:
-            batchable = bkey[0] == "symmetric" and width >= 2
+            batchable = bkey is not None and width >= 2
             if batchable and self.breaker is not None and not self.breaker.allow():
                 # open breaker: route straight to scalar without re-paying
                 # the batch failure (the breaker counts the rejection)
@@ -899,9 +888,10 @@ class SolveService:
                 batchable = False
             elif batchable:
                 try:
-                    perfs, _ = solve_points(
+                    scenario, method, _shape = bkey
+                    perfs, _ = get_scenario(scenario).solve_points(
                         [r.params for r in requests],
-                        method="symmetric",
+                        method=method,
                         kernel=self.config.kernel,
                     )
                     source = "batched"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MMSModel, solve
+from repro.core.model import solve_points
 from repro.params import paper_defaults
 
 
@@ -57,6 +58,19 @@ class TestSolve:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             MMSModel(paper_defaults()).solve(method="magic")
+
+    @pytest.mark.parametrize(
+        "params",
+        [paper_defaults(pattern="hotspot"), paper_defaults(wraparound=False)],
+        ids=["hotspot", "mesh"],
+    )
+    def test_symmetric_method_refused_without_spmd_symmetry(self, params):
+        """A single solve and a batch give the same error for the same
+        point: the single solve is the one-point batch."""
+        with pytest.raises(ValueError, match="requires SPMD symmetry"):
+            MMSModel(params).solve(method="symmetric")
+        with pytest.raises(ValueError, match="requires SPMD symmetry"):
+            solve_points([paper_defaults(), params], method="symmetric")
 
     def test_exact_method_on_tiny_instance(self):
         params = paper_defaults(k=2, num_threads=2)

@@ -1,10 +1,12 @@
 """Property tests: batched kernels are equivalent to their scalar solvers.
 
 The batched Bard-Schweitzer (:func:`repro.queueing.solve_batch`) must agree
-with scalar :func:`repro.queueing.bard_schweitzer` pointwise to <= 1e-10 on
-*any* same-shape batch -- single-point batches and zero-service (ideal)
-stations included -- and the symmetric-manifold batch must be bitwise
-identical to its scalar entry point regardless of batch composition.
+*bitwise* with the independent per-point loops of
+:mod:`repro.queueing.kernels.compiled` on *any* same-shape batch --
+single-point batches and zero-service (ideal) stations included -- and a
+point's result must not depend on the batch it rides in.  The
+symmetric-manifold batch must likewise be bitwise identical to its scalar
+entry point regardless of batch composition.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.queueing import (
     solve_symmetric,
     solve_symmetric_batch,
 )
+from repro.queueing.kernels import MulticlassSoA, compiled
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -82,23 +85,33 @@ class TestMultiClassEquivalence:
     @given(nets=network_batches())
     @settings(max_examples=60, deadline=None)
     def test_batch_matches_scalar_pointwise(self, nets):
+        """Every batch row equals the compiled per-point loop bit for bit."""
         batch = solve_batch(nets)
         for net, got in zip(nets, batch):
-            ref = bard_schweitzer(net)
-            assert float(np.max(np.abs(got.queue_length - ref.queue_length), initial=0.0)) <= 1e-10
-            assert float(np.max(np.abs(got.throughput - ref.throughput), initial=0.0)) <= 1e-10
-            assert float(np.max(np.abs(got.waiting - ref.waiting), initial=0.0)) <= 1e-10
-            assert got.converged == ref.converged
+            ref = compiled.multiclass_fixed_point(
+                MulticlassSoA.from_networks([net]), 1e-10, 100_000
+            )
+            assert np.array_equal(got.queue_length, ref.q[0])
+            assert np.array_equal(got.throughput, ref.x[0])
+            assert np.array_equal(got.waiting, ref.w[0])
+            assert got.iterations == int(ref.iterations[0])
+            assert got.residual == float(ref.residual[0])
+            assert got.converged == bool(ref.converged[0])
 
     @given(nets=network_batches())
     @settings(max_examples=30, deadline=None)
     def test_batch_results_independent_of_batch_composition(self, nets):
-        """Solving a point alone equals solving it inside any batch."""
+        """Solving a point alone (``bard_schweitzer``, the B = 1 batch)
+        equals solving it inside any batch, bit for bit."""
         whole = solve_batch(nets)
         for net, got in zip(nets, whole):
-            (alone,) = solve_batch([net])
-            assert float(np.max(np.abs(got.queue_length - alone.queue_length), initial=0.0)) <= 1e-10
+            alone = bard_schweitzer(net)
+            assert np.array_equal(got.queue_length, alone.queue_length)
+            assert np.array_equal(got.throughput, alone.throughput)
+            assert np.array_equal(got.waiting, alone.waiting)
             assert got.iterations == alone.iterations
+            assert got.residual == alone.residual
+            assert got.converged == alone.converged
 
 
 @st.composite

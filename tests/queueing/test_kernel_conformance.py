@@ -7,7 +7,11 @@ reference or the numba-compiled one) must produce bitwise-identical records
 for the same points.  This suite pins that contract on the real Figure-4
 lattice (the 11 x 16 = 176-point ``(n_t, p_remote)`` grid of the paper) and
 on the Table 2-4 golden payloads, replacing the scattered per-backend
-equivalence tests that each checked one pair in isolation.
+equivalence tests that each checked one pair in isolation.  Two smaller
+lattices pin the multi-class ``amva`` kernel the same way: torus points
+under the asymmetric hotspot pattern and ``hier`` mesh-of-clusters points,
+where the serial cell solves each point alone and the batched cells stack
+them.
 
 Kernel cells that need numba skip (not fail) where it is not importable, so
 the matrix degrades to the reference column on a bare environment; CI runs
@@ -28,6 +32,7 @@ from repro.analysis import experiments
 from repro.params import paper_defaults
 from repro.queueing.kernels import available_kernels
 from repro.runner import JobSpec, SweepRunner, canonical_json, executor
+from repro.scenarios.hier import HierParams
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
 
@@ -81,6 +86,24 @@ def _lattice_specs() -> list[JobSpec]:
     ]
 
 
+#: the multi-class lattices: 4 n_t x 4 p_remote each
+AMVA_THREADS = (1, 2, 4, 8)
+AMVA_P_REMOTES = (0.1, 0.2667, 0.4333, 0.6)
+
+AMVA_LATTICES = {
+    "hotspot": lambda: [
+        JobSpec(paper_defaults(pattern="hotspot", num_threads=n, p_remote=p))
+        for n in AMVA_THREADS
+        for p in AMVA_P_REMOTES
+    ],
+    "hier": lambda: [
+        JobSpec(HierParams(num_threads=n, p_remote=p))
+        for n in AMVA_THREADS
+        for p in AMVA_P_REMOTES
+    ],
+}
+
+
 def _canonical_records(report) -> list[str]:
     assert report.ok, [r.error for r in report.results if not r.ok]
     return [canonical_json(r) for r in report.records()]
@@ -114,6 +137,36 @@ class TestLatticeMatrix:
         report = RUNNERS["batch"]("numpy").run(_lattice_specs())
         assert report.manifest.mode == "batch"
         assert report.manifest.solver_batches
+
+
+@pytest.fixture(scope="module")
+def amva_reference_records() -> dict[str, list[str]]:
+    """The reference column of each multi-class lattice (batch/numpy)."""
+    return {
+        name: _canonical_records(
+            SweepRunner(backend="batch", kernel="numpy").run(specs())
+        )
+        for name, specs in AMVA_LATTICES.items()
+    }
+
+
+class TestAmvaLatticeMatrix:
+    @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
+    @pytest.mark.parametrize("backend", sorted(RUNNERS))
+    @pytest.mark.parametrize("lattice", sorted(AMVA_LATTICES))
+    def test_cell_bitwise_matches_reference(
+        self, lattice, backend, kernel, amva_reference_records, monkeypatch
+    ):
+        if backend in POOLED_CELLS:
+            monkeypatch.setattr(executor, "POOLED_GROUP_MIN_POINTS", 8)
+        report = RUNNERS[backend](kernel).run(AMVA_LATTICES[lattice]())
+        assert _canonical_records(report) == amva_reference_records[lattice]
+
+    def test_hier_batch_cell_stacks_one_amva_batch(self):
+        report = RUNNERS["batch"]("numpy").run(AMVA_LATTICES["hier"]())
+        assert report.manifest.mode == "batch"
+        batches = report.manifest.solver_batches
+        assert [(b["method"], b["batch_size"]) for b in batches] == [("amva", 16)]
 
 
 def _jsonable(obj: object) -> object:

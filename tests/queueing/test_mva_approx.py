@@ -1,10 +1,13 @@
 """Unit tests for the Bard-Schweitzer AMVA and the Linearizer refinement."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.queueing import (
     ClosedNetwork,
+    ConvergenceWarning,
     StationKind,
     bard_schweitzer,
     exact_mva,
@@ -138,3 +141,30 @@ class TestLinearizer:
         net = cyclic([1.0, 2.0], 6)
         sol = linearizer(net)
         assert sol.population_residual() < 1e-4
+
+
+def _two_class() -> ClosedNetwork:
+    return ClosedNetwork(
+        visits=np.array([[1.0, 0.5, 0.2], [0.3, 1.0, 0.7]]),
+        service=np.array([1.0, 2.0, 1.5]),
+        populations=np.array([4, 3]),
+    )
+
+
+class TestLinearizerTelemetry:
+    def test_converged_run_reports_its_real_pass_count(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            sol = linearizer(_two_class(), tol=1e-8)
+        assert sol.converged
+        assert 1 < sol.iterations < 50  # fewer than the max_outer cap
+        assert 0.0 < sol.residual <= 1e-8
+
+    def test_capped_run_warns_and_is_not_converged(self):
+        with pytest.warns(ConvergenceWarning, match="linearizer did not converge"):
+            sol = linearizer(_two_class(), max_outer=1)
+        assert not sol.converged
+        assert sol.iterations == 1
+        assert sol.residual > 1e-8
+        full = linearizer(_two_class())
+        assert not np.allclose(sol.throughput, full.throughput, rtol=1e-5)

@@ -16,6 +16,7 @@ from repro.queueing import (
     solve_symmetric,
     solve_symmetric_batch,
 )
+from repro.queueing.kernels import MulticlassSoA, compiled
 
 THREADS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20)
 P_REMOTES = tuple(round(0.05 * i, 2) for i in range(1, 17))
@@ -64,26 +65,34 @@ class TestLatticeEquivalence:
 
     def test_multiclass_batch_matches_scalar_on_figure4_lattice(self):
         """solve_batch vs scalar bard_schweitzer on the same lattice's full
-        multi-class networks: pointwise <= 1e-10 everywhere."""
+        multi-class networks: bitwise everywhere (the scalar solve is the
+        B = 1 batch)."""
         networks = [MMSModel(p).build_network() for p in _lattice_points()]
         batch = solve_batch(networks)
-        worst = 0.0
         for net, got in zip(networks, batch):
-            ref = bard_schweitzer(net)
-            worst = max(
-                worst,
-                float(np.max(np.abs(got.queue_length - ref.queue_length))),
-                float(np.max(np.abs(got.waiting - ref.waiting))),
-                float(np.max(np.abs(got.throughput - ref.throughput))),
-            )
-        assert worst <= 1e-10, f"batch/scalar divergence {worst:.3e}"
+            _assert_bitwise(got, bard_schweitzer(net))
 
     def test_single_point_batch_is_scalar(self):
+        """The scalar solve equals the independent per-point loop of the
+        compiled kernel (run un-jitted where numba is absent)."""
         net = MMSModel(paper_defaults(k=2)).build_network()
-        (got,) = solve_batch([net])
-        ref = bard_schweitzer(net)
-        assert float(np.max(np.abs(got.queue_length - ref.queue_length))) <= 1e-10
-        assert got.iterations == ref.iterations
+        got = bard_schweitzer(net)
+        ref = compiled.multiclass_fixed_point(
+            MulticlassSoA.from_networks([net]), 1e-10, 100_000
+        )
+        assert np.array_equal(got.queue_length, ref.q[0])
+        assert np.array_equal(got.waiting, ref.w[0])
+        assert np.array_equal(got.throughput, ref.x[0])
+        assert got.iterations == int(ref.iterations[0])
+        assert got.residual == float(ref.residual[0])
+
+
+def _assert_bitwise(got, ref) -> None:
+    assert np.array_equal(got.queue_length, ref.queue_length)
+    assert np.array_equal(got.waiting, ref.waiting)
+    assert np.array_equal(got.throughput, ref.throughput)
+    assert got.iterations == ref.iterations
+    assert got.residual == ref.residual
 
 
 # ---------------------------------------------------------- masking/telemetry

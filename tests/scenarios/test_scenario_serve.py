@@ -1,7 +1,9 @@
 """Scenario routing through the coalescing solve service and its HTTP front.
 
-Torus symmetric requests keep batching; every other scenario resolves as
-a singleton through its registered solver.  The HTTP body's ``scenario``
+Requests coalesce under the runner's batching rule (``Scenario.batch_key``:
+torus ``symmetric``/``amva``, ``hier`` ``amva``); a scenario without a
+batch path, such as ``worksteal``, resolves as a singleton through its
+registered solver.  The HTTP body's ``scenario``
 key selects the family per request, the server's configured default
 applies when the body is silent, and the wire format for old torus
 clients is unchanged (no ``scenario`` field in their replies).

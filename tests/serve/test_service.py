@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.model import MMSModel, solve
 from repro.params import paper_defaults
 from repro.runner.spec import JobSpec
 from repro.runner.store import ResultStore
+from repro.scenarios.hier import HierParams
 from repro.serve import (
     DeadlineExceededError,
     QueueFullError,
@@ -51,11 +53,28 @@ class TestBitwiseIdentity:
         assert r.source == "scalar"
         assert r.perf.to_dict() == MMSModel(p).solve(method="amva").to_dict()
 
-    def test_hotspot_pattern_served_scalar(self):
-        p = paper_defaults(pattern="hotspot", p_remote=0.2)
-        with SolveService(ServiceConfig(**SLOW)) as svc:
-            r = svc.solve(p, timeout=30)
-        assert r.perf.to_dict() == solve(p).to_dict()
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [
+                paper_defaults(pattern="hotspot", p_remote=0.1 + 0.05 * i)
+                for i in range(8)
+            ],
+            [HierParams(num_threads=1 + i, p_remote=0.3) for i in range(8)],
+        ],
+        ids=["hotspot", "hier"],
+    )
+    def test_amva_burst_coalesces_and_matches_solve(self, points):
+        """``amva`` points batch under the runner's rule
+        (``Scenario.batch_key``) and still answer bitwise like a single
+        ``repro.solve``."""
+        with SolveService(ServiceConfig(max_batch=32, **SLOW)) as svc:
+            futures = [svc.submit(p) for p in points]
+            results = [f.result(timeout=30) for f in futures]
+        assert all(r.source == "batched" for r in results)
+        assert max(r.batch_width for r in results) >= 2, "burst never coalesced"
+        for r, p in zip(results, points):
+            assert r.perf.to_dict() == repro.solve(p).to_dict()
 
     @settings(max_examples=20, deadline=None)
     @given(

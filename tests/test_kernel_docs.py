@@ -102,3 +102,14 @@ class TestResilienceChain:
         assert chain in text, (
             f"docs/RESILIENCE.md chain mention != {DEGRADATION_CHAIN}"
         )
+
+
+class TestOneFixedPoint:
+    def test_section8_describes_one_implementation_and_one_rule(self):
+        text = THEORY.read_text(encoding="utf-8")
+        assert "**One multi-class implementation.**" in text
+        assert "solve_batch([network])[0]" in text
+        assert "**One batching rule.**" in text
+        assert "Scenario.batch_key(params, method)" in text
+        # the scalar loop and its 1e-10 pin are gone
+        assert "≤ 1e-10 agreement" not in text
